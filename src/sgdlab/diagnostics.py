@@ -69,7 +69,7 @@ class RolloffPolicy:
                 f"unknown roll-off policy {self.kind!r}; expected one of {POLICY_KINDS}")
         if not 0.0 <= self.beta_max < 1.0:
             raise ConfigurationError(f"beta_max must be in [0, 1), got {self.beta_max}")
-        if self.cv_low < 0.0 or self.cv_high <= self.cv_low:
+        if not 0.0 <= self.cv_low < self.cv_high:  # False for NaN too
             raise ConfigurationError(
                 f"need 0 <= cv_low < cv_high, got cv_low={self.cv_low} cv_high={self.cv_high}")
 

@@ -23,8 +23,11 @@ from .errors import ConfigurationError, InsufficientDataError, TraceFormatError
 from .optimizers import (AlphaSchedule, MomentumState, SecantState, StepSettings,
                          SwitchPolicy, DIVERGENCE_LIMIT, step_momentum, step_secant,
                          step_sgd)
-from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Problem,
-                       RademacherProblem, draw_minibatch, evaluate_minibatch)
+from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Minibatch,
+                       Problem, RademacherProblem)
+# The run loop calls Problem.evaluate; these stay bound here because
+# perfbench's tracer wraps them at this module.
+from .problems import draw_minibatch, evaluate_minibatch  # noqa: F401
 
 TRACE_HEADER = "epoch,iteration,true_risk,est_risk,cv_raw,cv_smoothed,alpha,beta,accuracy,theta_norm"
 
@@ -115,8 +118,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"train_size must be >= 1, got {self.train_size}")
         if (self.theta0 is None) == (self.theta0_scale is None):
             raise ConfigurationError("exactly one of theta0 / theta0_scale is required")
-        if self.theta0_scale is not None and not np.isfinite(self.theta0_scale):
-            raise ConfigurationError("theta0_scale must be finite")
+        if self.theta0 is not None:
+            self.theta0_values()
+        for name in self._FLOAT_KEYS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
 
         if self.optimizer in ("sgd", "momentum", "hybrid"):
             if self.alpha is None or not float(self.alpha) > 0.0:
@@ -147,6 +154,17 @@ class ExperimentConfig:
         self.make_rolloff_policy()
         if self.optimizer == "hybrid":
             SwitchPolicy(kind=self.switch_kind, threshold=float(self.switch_threshold))
+
+    def theta0_values(self) -> np.ndarray:
+        """theta0 as a flat float array (one entry broadcasts to every dim)."""
+        try:
+            values = np.asarray(self.theta0, dtype=float).reshape(-1)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"theta0 must be a number or a list of numbers, got {self.theta0!r}") from exc
+        if not np.all(np.isfinite(values)):
+            raise ConfigurationError("theta0 has non-finite entries")
+        return values
 
     def make_alpha_schedule(self) -> Optional[AlphaSchedule]:
         if self.alpha is None:
@@ -183,14 +201,12 @@ def initial_theta(config: ExperimentConfig, problem: Problem,
                   rng: np.random.Generator) -> np.ndarray:
     """Start point: explicit value(s), or scale * random unit vector (consumes rng)."""
     if config.theta0 is not None:
-        arr = np.asarray(config.theta0, dtype=float).reshape(-1)
+        arr = config.theta0_values()
         if arr.shape[0] == 1:
             arr = np.full(problem.dim, arr[0])
         if arr.shape[0] != problem.dim:
             raise ConfigurationError(
                 f"theta0 has {arr.shape[0]} entries, problem needs {problem.dim}")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError("theta0 has non-finite entries")
         return arr
     direction = rng.standard_normal(problem.dim)
     return float(config.theta0_scale) * direction / np.linalg.norm(direction)
@@ -229,14 +245,14 @@ class _CvTracker:
     it comes from a trailing buffer of recent per-sample costs. Estimates are
     only computed when the roll-off policy needs them or a trace record is
     due, so plain runs stay cheap; the smoothing window is over the computed
-    estimates.
+    estimates, and only that window is kept.
     """
 
     def __init__(self, k: int, window: int, buffer_size: int):
         self.k = k
         self.window = window
         self.buffer = deque(maxlen=buffer_size) if k < 2 else None
-        self.history: list[CvEstimate] = []
+        self.history: deque[CvEstimate] = deque(maxlen=window)
         self._costs: Optional[np.ndarray] = None
 
     def observe(self, costs: np.ndarray) -> None:
@@ -267,12 +283,53 @@ class _CvTracker:
             return None
 
 
+# Most sample coordinates (k * dim per minibatch) one block draw may hold, so
+# a run's memory stays flat in dim.
+BLOCK_COORDINATES = 2 ** 16
+
+
+class _SampleStream:
+    """A run's fresh minibatches of k samples, in the run's RNG draw order.
+
+    Where `problem.block_draws` holds, one `sample` call draws a block of
+    minibatches and each is taken from it in turn: at most BLOCK_COORDINATES
+    coordinates, and never more minibatches than the run still needs. Other
+    problems draw once per minibatch. Both give the same samples.
+    """
+
+    def __init__(self, problem: Problem, rng: np.random.Generator, k: int,
+                 n_batches: int):
+        self.problem, self.rng, self.k = problem, rng, k
+        self.batches_left = n_batches
+        self.per_block = (max(1, BLOCK_COORDINATES // (k * problem.dim))
+                          if problem.block_draws else 1)
+        self.block = None
+        self.start = self.stop = 0
+
+    def draw(self):
+        if self.per_block == 1:
+            return self.problem.sample(self.rng, self.k)
+        if self.start == self.stop:
+            n = min(self.per_block, self.batches_left)
+            self.batches_left -= n
+            self.block = self.problem.sample(self.rng, n * self.k)
+            self.start, self.stop = 0, n * self.k
+        start = self.start
+        self.start += self.k
+        return self.problem.take(self.block, start, self.start)
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSummary]:
     """Run one seeded experiment, returning its trace records and summary.
 
     RNG draw order (all from one PCG64 stream seeded by config.seed):
     start direction (theta0_scale mode only), then the finite train set
     (finite mode), then per-epoch shuffles / per-iteration fresh draws.
+    Fresh samples are drawn in blocks where that yields the same samples
+    (rademacher, noiseless least squares; see `Problem.block_draws`) and once
+    per minibatch otherwise; the draw order and the traces are the same
+    either way. theta is validated once, on entry (`initial_theta`,
+    `SecantState`); the loop evaluates the problem on it directly.
     """
     config.validate()
     problem = build_problem(config)
@@ -284,7 +341,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
     alpha_sched = config.make_alpha_schedule()
     policy = config.make_rolloff_policy()
     policy_driven = policy is not None and policy.kind != "constant"
+    momentum = config.optimizer == "momentum"
     k = int(config.k)
+    eval_every = int(config.eval_every)
 
     finite = config.train_size is not None
     if finite:
@@ -298,6 +357,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
         epoch_denom = int(config.epoch_size)
 
     has_test_set = isinstance(problem, LogisticBlobsProblem)
+    evaluate = problem.evaluate
     oracle_risk = problem.oracle.true_risk
     min_risk = problem.oracle.min_risk if problem.oracle.min_risk is not None else 0.0
 
@@ -318,6 +378,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
     in_secant = config.optimizer in ("secant", "hybrid")
     switch = (SwitchPolicy(kind=config.switch_kind, threshold=float(config.switch_threshold))
               if config.optimizer == "hybrid" else None)
+    cv_switch = switch is not None and switch.kind == "cv"
     secant_state: Optional[SecantState] = None
     if in_secant:
         current = float(theta[0])
@@ -328,12 +389,16 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
             theta = np.array([second])
             if switch is not None and switch.fires(second, None):
                 in_secant = False
-            else:
-                init_batch = draw_minibatch(problem, np.array([current]), 1, rng)
-                samples_consumed += 1
-                tracker.observe(init_batch.costs)
-                secant_state = SecantState(theta_prev2=current, theta_prev1=second,
-                                           grad_prev2=float(init_batch.mean_gradient[0]))
+
+    # a secant phase first spends one sample on the gradient at theta0
+    stream = (None if finite
+              else _SampleStream(problem, rng, k, total_iterations + int(in_secant)))
+    if in_secant:
+        init_costs, init_grad = evaluate(np.array([current]), stream.draw())
+        samples_consumed += 1
+        tracker.observe(init_costs)
+        secant_state = SecantState(theta_prev2=current, theta_prev1=second,
+                                   grad_prev2=float(init_grad[0]))
 
     def epoch_batches():
         for _ in range(int(config.epochs)):
@@ -341,34 +406,32 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
             for start in range(0, train_size, k):
                 yield problem.subset(train, perm[start:start + k])
 
-    finite_iter = epoch_batches() if finite else None
+    next_samples = epoch_batches().__next__ if finite else stream.draw
 
     for iteration in range(1, total_iterations + 1):
+        record_due = iteration % eval_every == 0
         # --- step ---
         if in_secant:
-            batch = draw_minibatch(problem, np.array([secant_state.theta_prev1]), 1, rng)
+            # theta is [secant_state.theta_prev1]
+            costs, grad = evaluate(theta, next_samples())
             samples_consumed += 1
-            theta_scalar, secant_state = step_secant(
-                secant_state, float(batch.mean_gradient[0]))
+            theta_scalar, secant_state = step_secant(secant_state, float(grad[0]))
             theta = np.array([theta_scalar])
             alpha_i, beta_i = 0.0, 0.0
-            tracker.observe(batch.costs)
-            cv_raw, cv_smoothed = (tracker.compute()
-                                   if (switch is not None and switch.kind == "cv")
-                                   or iteration % config.eval_every == 0
+            tracker.observe(costs)
+            cv_raw, cv_smoothed = (tracker.compute() if cv_switch or record_due
                                    else (None, None))
         else:
-            if finite:
-                batch = evaluate_minibatch(problem, theta, next(finite_iter))
-            else:
-                batch = draw_minibatch(problem, theta, k, rng)
-            samples_consumed += batch.k
-            tracker.observe(batch.costs)
-            need_cv = policy_driven or iteration % config.eval_every == 0
-            cv_raw, cv_smoothed = tracker.compute() if need_cv else (None, None)
+            samples = next_samples()
+            costs, grad = evaluate(theta, samples)
+            batch = Minibatch(samples=samples, costs=costs, mean_gradient=grad)
+            samples_consumed += costs.shape[0]
+            tracker.observe(costs)
+            cv_raw, cv_smoothed = (tracker.compute() if policy_driven or record_due
+                                   else (None, None))
             sgd_iter += 1
             alpha_i = alpha_sched.alpha(sgd_iter)
-            if config.optimizer == "momentum":
+            if momentum:
                 beta_i = (policy.beta(cv_smoothed) if policy is not None
                           else float(config.beta))
                 theta, mom_state = step_momentum(
@@ -378,20 +441,21 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
                 theta = step_sgd(theta, batch, alpha_i)
 
         # --- divergence guard ---
+        # the max is NaN when theta holds one, and NaN <= limit is False
         risk = float(oracle_risk(theta)) if oracle_risk is not None else None
-        theta_ok = bool(np.all(np.isfinite(theta))) and float(np.max(np.abs(theta))) <= DIVERGENCE_LIMIT
-        if not theta_ok or (risk is not None and not np.isfinite(risk)):
+        if not (float(np.abs(theta).max()) <= DIVERGENCE_LIMIT
+                and (risk is None or math.isfinite(risk))):
             diverged = True
             break
 
         # --- hybrid switch ---
         if in_secant and switch is not None:
-            cv_for_switch = cv_raw if switch.kind == "cv" else None
+            cv_for_switch = cv_raw if cv_switch else None
             if switch.fires(float(theta[0]), cv_for_switch):
                 in_secant = False
 
         # --- tracking ---
-        tracked = risk if risk is not None else float(np.mean(batch.costs))
+        tracked = risk if risk is not None else float(np.mean(costs))
         if best_risk is None or tracked < best_risk:
             best_risk = tracked
         if (config.risk_threshold is not None and iters_to_threshold is None
@@ -399,9 +463,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
             iters_to_threshold = iteration
 
         # --- record ---
-        if iteration % config.eval_every == 0:
+        if record_due:
             epoch = samples_consumed // epoch_denom
-            est_risk = float(np.mean(batch.costs))
+            est_risk = float(np.mean(costs))
             accuracy = None
             if has_test_set and (last_record_epoch is None or epoch > last_record_epoch):
                 est_risk, accuracy = problem.test_metrics(theta)

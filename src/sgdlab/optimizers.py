@@ -157,6 +157,8 @@ class SwitchPolicy:
                 f"unknown switch policy {self.kind!r}; expected 'abs_theta' or 'cv'")
         if self.window < 2:
             raise ConfigurationError(f"cv switch window must be >= 2, got {self.window}")
+        if not np.isfinite(self.threshold):
+            raise ConfigurationError(f"switch threshold must be finite, got {self.threshold}")
 
     def fires(self, theta: float, cv: Optional[float]) -> bool:
         if self.kind == "abs_theta":

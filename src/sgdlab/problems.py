@@ -53,9 +53,19 @@ class Problem:
     name: str = "problem"
     dim: int = 1
     oracle: Oracle = Oracle()
+    # True when one sample(rng, m * k) call returns exactly the samples of m
+    # successive sample(rng, k) calls, so a run may draw its fresh samples in
+    # blocks without changing them. False for problems that interleave two
+    # draws per call.
+    block_draws: bool = False
 
     def sample(self, rng: np.random.Generator, n: int):
         """Draw n i.i.d. samples; returns a problem-specific batch payload."""
+        raise NotImplementedError
+
+    def evaluate(self, theta: Array, samples) -> tuple[Array, Array]:
+        """(per-sample costs, shape (n,); mean gradient, shape (dim,)) at a
+        validated theta, sharing the work the two have in common."""
         raise NotImplementedError
 
     def costs(self, theta: Array, samples) -> Array:
@@ -72,6 +82,11 @@ class Problem:
     def subset(self, samples, idx):
         """Select samples by integer index array / slice (for epoch shuffling)."""
         raise NotImplementedError
+
+    def take(self, block, start: int, stop: int):
+        """Samples start:stop of a block one `sample` call drew, exactly as a
+        `sample` call for only those samples returns them (`block_draws` only)."""
+        return self.subset(block, slice(start, stop))
 
 
 def _as_theta(theta, dim: int) -> Array:
@@ -92,13 +107,9 @@ def draw_minibatch(problem: Problem, theta, k: int, rng: np.random.Generator) ->
 
 
 def evaluate_minibatch(problem: Problem, theta, samples) -> Minibatch:
-    """Build a Minibatch from pre-drawn samples (used by epoch partitioning)."""
-    t = _as_theta(theta, problem.dim)
-    return Minibatch(
-        samples=samples,
-        costs=problem.costs(t, samples),
-        mean_gradient=problem.mean_gradient(t, samples),
-    )
+    """Build a Minibatch from pre-drawn samples at a checked theta."""
+    costs, mean_gradient = problem.evaluate(_as_theta(theta, problem.dim), samples)
+    return Minibatch(samples=samples, costs=costs, mean_gradient=mean_gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +160,7 @@ class RademacherProblem(Problem):
 
     name = "rademacher"
     dim = 1
+    block_draws = True  # one integers() fill, consumed in draw order
 
     def __init__(self):
         self.oracle = rademacher_oracle()
@@ -156,11 +168,16 @@ class RademacherProblem(Problem):
     def sample(self, rng: np.random.Generator, n: int) -> Array:
         return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
 
+    def evaluate(self, theta: Array, samples: Array) -> tuple[Array, Array]:
+        d = theta[0] - samples
+        # sum / n is how np.mean reduces, without its per-call overhead
+        return d * d, np.array([float((2.0 * d).sum()) / d.shape[0]])
+
     def costs(self, theta: Array, samples: Array) -> Array:
-        return (theta[0] - samples) ** 2
+        return self.evaluate(theta, samples)[0]
 
     def mean_gradient(self, theta: Array, samples: Array) -> Array:
-        return np.array([float(np.mean(2.0 * (theta[0] - samples)))])
+        return self.evaluate(theta, samples)[1]
 
     def n_samples(self, samples: Array) -> int:
         return int(samples.shape[0])
@@ -228,6 +245,12 @@ class LeastSquaresProblem(Problem):
         delta = np.asarray(theta, dtype=float).reshape(-1) - self.w_star
         return 2.0 * self.eigenvalues * delta
 
+    @property
+    def block_draws(self) -> bool:
+        # noiseless samples are one standard_normal fill; noise interleaves
+        # a second draw after each call's features
+        return self.noise_std == 0.0
+
     def sample(self, rng: np.random.Generator, n: int):
         features = rng.standard_normal((n, self.dim)) * self._feature_scale
         targets = features @ self.w_star
@@ -235,15 +258,22 @@ class LeastSquaresProblem(Problem):
             targets = targets + self.noise_std * rng.standard_normal(n)
         return features, targets
 
-    def costs(self, theta: Array, samples) -> Array:
+    def evaluate(self, theta: Array, samples) -> tuple[Array, Array]:
         features, targets = samples
         r = features @ theta - targets
-        return r * r
+        return r * r, (2.0 / r.shape[0]) * (features.T @ r)
+
+    def costs(self, theta: Array, samples) -> Array:
+        return self.evaluate(theta, samples)[0]
 
     def mean_gradient(self, theta: Array, samples) -> Array:
-        features, targets = samples
-        r = features @ theta - targets
-        return (2.0 / r.shape[0]) * (features.T @ r)
+        return self.evaluate(theta, samples)[1]
+
+    def take(self, block, start: int, stop: int):
+        # BLAS may sum a row's dot product in a different order inside a
+        # taller matrix, so the targets come from these rows alone
+        features = block[0][start:stop]
+        return features, features @ self.w_star
 
     def n_samples(self, samples) -> int:
         return int(samples[0].shape[0])
@@ -317,19 +347,23 @@ class LogisticBlobsProblem(Problem):
         features = self.class_means[labels] + rng.standard_normal((n, self.n_features))
         return features, labels
 
-    def costs(self, theta: Array, samples) -> Array:
-        features, labels = samples
-        lp = self._log_probs(theta, features)
-        return -lp[np.arange(labels.shape[0]), labels]
-
-    def mean_gradient(self, theta: Array, samples) -> Array:
+    def evaluate(self, theta: Array, samples) -> tuple[Array, Array]:
         features, labels = samples
         n = labels.shape[0]
-        probs = np.exp(self._log_probs(theta, features))
-        probs[np.arange(n), labels] -= 1.0
+        rows = np.arange(n)
+        lp = self._log_probs(theta, features)
+        costs = -lp[rows, labels]
+        probs = np.exp(lp)
+        probs[rows, labels] -= 1.0
         grad_w = probs.T @ features / n
         grad_b = probs.mean(axis=0)
-        return np.concatenate([grad_w.ravel(), grad_b])
+        return costs, np.concatenate([grad_w.ravel(), grad_b])
+
+    def costs(self, theta: Array, samples) -> Array:
+        return self.evaluate(theta, samples)[0]
+
+    def mean_gradient(self, theta: Array, samples) -> Array:
+        return self.evaluate(theta, samples)[1]
 
     def n_samples(self, samples) -> int:
         return int(samples[1].shape[0])

@@ -6,8 +6,10 @@ import pytest
 
 from sgdlab.cli import main as cli_main
 from sgdlab.errors import ConfigurationError
-from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, load_config,
+from sgdlab.harness import (BLOCK_COORDINATES, TRACE_HEADER, ExperimentConfig,
+                            _SampleStream, build_problem, load_config,
                             read_trace, run_experiment, run_grid, write_trace)
+from sgdlab.problems import LeastSquaresProblem, RademacherProblem
 
 
 def make_config(**overrides):
@@ -40,6 +42,15 @@ class TestConfigValidation:
         (dict(k=0), "k must be >= 1"),
         (dict(optimizer="secant", k=2, alpha=None), "k must be 1"),
         (dict(optimizer="hybrid", train_size=100), "train_size is not supported"),
+        (dict(theta0="abc"), "theta0 must be a number"),
+        (dict(theta0=[1.0, float("nan")]), "theta0 has non-finite"),
+        (dict(cv_low=float("nan")), "cv_low must be finite"),
+        (dict(optimizer="momentum", beta_policy="cv_linear", cv_high=float("nan")),
+         "cv_high must be finite"),
+        (dict(optimizer="hybrid", alpha_schedule="inverse_t",
+              switch_threshold=float("nan")), "switch_threshold must be finite"),
+        (dict(problem="least_squares", dim=2, condition_number=float("nan")),
+         "condition_number must be finite"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,
@@ -169,6 +180,74 @@ class TestRobbinsMonroRun:
             assert np.isfinite(r.theta_norm)
 
 
+class TestSampleStream:
+    """Block-drawn fresh samples equal per-call draws, sample for sample."""
+
+    @pytest.mark.parametrize("make,k,n_batches", [
+        # k = 7 does not divide the 2^16-sample block; 9363 batches need one
+        # full block (9362 batches) and one batch of a second
+        pytest.param(lambda: RademacherProblem(), 7, 9363, id="rademacher-k7"),
+        pytest.param(lambda: RademacherProblem(), 1, 70000, id="rademacher-k1"),
+        # k * dim = 7000: blocks of 9 batches, and a short last one
+        pytest.param(lambda: LeastSquaresProblem(1000, 10.0, 0.0, 3), 7, 40,
+                     id="least_squares-dim1000-k7"),
+        # k * dim = 90000 exceeds the cap: one batch per draw
+        pytest.param(lambda: LeastSquaresProblem(3000, 10.0, 0.0, 4), 30, 3,
+                     id="least_squares-dim3000-k30"),
+    ])
+    def test_blocks_match_per_call_draws(self, make, k, n_batches):
+        problem = make()
+        assert problem.block_draws
+        per_block = max(1, BLOCK_COORDINATES // (k * problem.dim))
+        sample_calls = []
+        draw = problem.sample
+        problem.sample = lambda rng, n: sample_calls.append(n) or draw(rng, n)
+        rng_block, rng_call = np.random.default_rng(5), np.random.default_rng(5)
+        stream = _SampleStream(problem, rng_block, k, n_batches)
+        for _ in range(n_batches):
+            got, want = stream.draw(), draw(rng_call, k)
+            if isinstance(want, tuple):
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            else:
+                assert np.array_equal(got, want)
+        assert all(n * problem.dim <= max(BLOCK_COORDINATES, k * problem.dim)
+                   for n in sample_calls)
+        assert len(sample_calls) == -(-n_batches // per_block)
+        # no sample drawn beyond the last batch
+        assert rng_block.bit_generator.state == rng_call.bit_generator.state
+
+    @pytest.mark.parametrize("raw,diverges", [
+        pytest.param(dict(problem="rademacher", theta0=3.0, optimizer="sgd", k=7,
+                          alpha=0.1, epochs=3, epoch_size=100, eval_every=2, seed=1),
+                     False, id="rademacher-k7"),
+        pytest.param(dict(problem="rademacher", theta0=3.0, optimizer="sgd", k=2,
+                          alpha=5.0, epochs=1, epoch_size=300, eval_every=1, seed=2),
+                     True, id="rademacher-ends-mid-block"),
+        pytest.param(dict(problem="rademacher", theta0=1e4, optimizer="hybrid", k=1,
+                          alpha=0.5, alpha_schedule="inverse_t", epochs=1,
+                          epoch_size=200, eval_every=1, seed=3),
+                     False, id="rademacher-hybrid"),
+        pytest.param(dict(problem="least_squares", dim=1000, condition_number=10.0,
+                          theta0_scale=3.0, optimizer="momentum", beta=0.5, k=7,
+                          alpha=1e-4, epochs=1, epoch_size=300, eval_every=4, seed=4),
+                     False, id="least_squares-dim1000-k7"),
+        pytest.param(dict(problem="least_squares", dim=3000, condition_number=10.0,
+                          theta0_scale=3.0, optimizer="sgd", k=30, alpha=1e-4,
+                          epochs=1, epoch_size=120, eval_every=1, seed=5),
+                     False, id="least_squares-dim3000-k30"),
+    ])
+    def test_run_identical_with_block_draws_off(self, raw, diverges, monkeypatch):
+        config = ExperimentConfig.from_dict(raw)
+        records, summary = run_experiment(config)
+        assert summary.diverged == diverges
+        monkeypatch.setattr(type(build_problem(config)), "block_draws", False)
+        records_off, summary_off = run_experiment(config)
+        assert records == records_off
+        assert np.array_equal(summary.final_theta, summary_off.final_theta)
+        assert (summary.samples, summary.iterations, summary.diverged) == (
+            summary_off.samples, summary_off.iterations, summary_off.diverged)
+
+
 class TestHybridRun:
     def test_hybrid_switches_and_uses_schedule(self):
         cfg = ExperimentConfig.from_dict(dict(
@@ -237,6 +316,12 @@ class TestCli:
         bad = tmp_path / "bad.yaml"
         bad.write_text("problem: nope\ntheta0: 1.0\noptimizer: sgd\nalpha: 0.1\n")
         assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
+
+    def test_run_unparsable_theta0_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("problem: rademacher\ntheta0: abc\noptimizer: sgd\nalpha: 0.1\n")
+        assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
+        assert "theta0 must be a number" in capsys.readouterr().err
 
     def test_run_missing_file_exits_3(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "absent.yaml")]) == 3

@@ -195,6 +195,33 @@ class TestLogistic:
         assert p1.test_metrics(theta) == p2.test_metrics(theta)
 
 
+MAKE_PROBLEMS = [
+    lambda: RademacherProblem(),
+    lambda: least_squares_problem(5, 30.0, 0.2, seed=7),
+    lambda: synthetic_logistic_problem(4, 3, 2.0, seed=8),
+]
+
+
+def separate_costs_and_gradient(problem, theta, samples):
+    """Costs and mean gradient computed in two passes, as each problem did
+    before `evaluate` fused them; the reference for bit-identity."""
+    if isinstance(problem, RademacherProblem):
+        return ((theta[0] - samples) ** 2,
+                np.array([float(np.mean(2.0 * (theta[0] - samples)))]))
+    if isinstance(problem, LeastSquaresProblem):
+        features, targets = samples
+        r = features @ theta - targets
+        costs = r * r
+        r = features @ theta - targets
+        return costs, (2.0 / r.shape[0]) * (features.T @ r)
+    features, labels = samples
+    n = labels.shape[0]
+    costs = -problem._log_probs(theta, features)[np.arange(n), labels]
+    probs = np.exp(problem._log_probs(theta, features))
+    probs[np.arange(n), labels] -= 1.0
+    return costs, np.concatenate([(probs.T @ features / n).ravel(), probs.mean(axis=0)])
+
+
 class TestMinibatch:
     def test_k1_mean_gradient_is_single_gradient(self):
         p = RademacherProblem()
@@ -220,11 +247,7 @@ class TestMinibatch:
         assert np.array_equal(b1.mean_gradient, b2.mean_gradient)
         assert np.array_equal(b1.samples[0], b2.samples[0])
 
-    @pytest.mark.parametrize("make", [
-        lambda: RademacherProblem(),
-        lambda: least_squares_problem(5, 30.0, 0.2, seed=7),
-        lambda: synthetic_logistic_problem(4, 3, 2.0, seed=8),
-    ])
+    @pytest.mark.parametrize("make", MAKE_PROBLEMS)
     def test_mean_gradient_matches_per_sample_loop(self, make):
         problem = make()
         rng = np.random.default_rng(9)
@@ -240,3 +263,26 @@ class TestMinibatch:
             np.linalg.norm(loop_mean), 1e-300)
         assert rel <= 1e-12
         assert batch.costs.shape == (13,)
+
+    @pytest.mark.parametrize("k", [1, 13, 1000])
+    @pytest.mark.parametrize("make", MAKE_PROBLEMS)
+    def test_evaluate_bit_identical_to_separate_passes(self, make, k):
+        problem = make()
+        theta = 0.3 * np.random.default_rng(11).standard_normal(problem.dim)
+        samples = problem.sample(np.random.default_rng(12), k)
+        costs, grad = problem.evaluate(theta, samples)
+        ref_costs, ref_grad = separate_costs_and_gradient(problem, theta, samples)
+        assert costs.shape == (k,) and grad.shape == (problem.dim,)
+        assert np.array_equal(costs, ref_costs)
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(problem.costs(theta, samples), costs)
+        assert np.array_equal(problem.mean_gradient(theta, samples), grad)
+        batch = evaluate_minibatch(problem, theta, samples)
+        assert np.array_equal(batch.costs, costs)
+        assert np.array_equal(batch.mean_gradient, grad)
+
+    def test_block_draws_only_where_draws_do_not_interleave(self):
+        assert RademacherProblem().block_draws
+        assert least_squares_problem(3, 10.0, 0.0, seed=0).block_draws
+        assert not least_squares_problem(3, 10.0, 0.1, seed=0).block_draws
+        assert not synthetic_logistic_problem(3, 2, 1.0, seed=0).block_draws
