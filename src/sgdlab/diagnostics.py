@@ -7,6 +7,7 @@ coefficient that only ever decreases as the CV rises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,19 +34,23 @@ class CvEstimate:
 
     @property
     def valid(self) -> bool:
-        return self.mean_cost > 0.0 and np.isfinite(self.cv)
+        return self.mean_cost > 0.0 and math.isfinite(self.cv)
 
 
 def estimate_cv(costs) -> CvEstimate:
     """CV of a list of k >= 2 per-sample costs; flags (never raises) on mean <= 0."""
     c = np.asarray(costs, dtype=float).reshape(-1)
-    if c.shape[0] < 2:
-        raise InsufficientDataError(
-            f"CV estimation needs at least 2 costs, got {c.shape[0]}")
-    mean = float(np.mean(c))
-    std = float(np.std(c, ddof=1))
+    n = c.shape[0]
+    if n < 2:
+        raise InsufficientDataError(f"CV estimation needs at least 2 costs, got {n}")
+    # the add.reduce passes np.mean and np.std(ddof=1) make, without their
+    # per-call overhead: the same summation order, so the same bits (np.dot
+    # and math.fsum sum in other orders)
+    mean = float(c.sum()) / n
+    d = c - mean
+    std = math.sqrt(float((d * d).sum()) / (n - 1))
     cv = std / mean if mean > 0.0 else float("nan")
-    return CvEstimate(mean_cost=mean, std_cost=std, cv=cv, k=int(c.shape[0]))
+    return CvEstimate(mean_cost=mean, std_cost=std, cv=cv, k=n)
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,11 @@ def smooth_cv(history: Sequence[CvEstimate], window: int) -> float:
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window}")
     recent = history[-window:] if window < len(history) else history
-    values = [e.cv for e in recent if e.valid]
+    values = sorted(e.cv for e in recent if e.valid)
     if not values:
         raise InsufficientDataError("no valid CV estimate in the smoothing window")
-    return float(np.median(values))
+    # np.median's value: valid CVs are finite, so no NaN handling is needed
+    mid = len(values) // 2
+    if len(values) % 2:
+        return float(values[mid])
+    return float((values[mid - 1] + values[mid]) / 2.0)

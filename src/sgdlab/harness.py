@@ -24,7 +24,7 @@ from .optimizers import (AlphaSchedule, MomentumState, SecantState, StepSettings
                          SwitchPolicy, DIVERGENCE_LIMIT, step_momentum, step_secant,
                          step_sgd)
 from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Minibatch,
-                       Problem, RademacherProblem)
+                       Problem, RademacherProblem, SampleStream)
 # The run loop calls Problem.evaluate; these stay bound here because
 # perfbench's tracer wraps them at this module.
 from .problems import draw_minibatch, evaluate_minibatch  # noqa: F401
@@ -116,6 +116,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"cv_buffer must be >= 2, got {self.cv_buffer}")
         if self.train_size is not None and int(self.train_size) < 1:
             raise ConfigurationError(f"train_size must be >= 1, got {self.train_size}")
+        if int(self.eval_every) > self.total_iterations():
+            raise ConfigurationError(
+                f"eval_every ({self.eval_every}) exceeds the run's "
+                f"{self.total_iterations()} iterations; the trace would be empty")
         if (self.theta0 is None) == (self.theta0_scale is None):
             raise ConfigurationError("exactly one of theta0 / theta0_scale is required")
         if self.theta0 is not None:
@@ -154,6 +158,14 @@ class ExperimentConfig:
         self.make_rolloff_policy()
         if self.optimizer == "hybrid":
             SwitchPolicy(kind=self.switch_kind, threshold=float(self.switch_threshold))
+
+    def total_iterations(self) -> int:
+        """ceil(epochs * epoch_size / k) fresh minibatches, or epochs passes of
+        ceil(train_size / k) minibatches over a finite train set."""
+        k = int(self.k)
+        if self.train_size is not None:
+            return int(self.epochs) * math.ceil(int(self.train_size) / k)
+        return math.ceil(int(self.epochs) * int(self.epoch_size) / k)
 
     def theta0_values(self) -> np.ndarray:
         """theta0 as a flat float array (one entry broadcasts to every dim)."""
@@ -246,32 +258,43 @@ class _CvTracker:
     only computed when the roll-off policy needs them or a trace record is
     due, so plain runs stay cheap; the smoothing window is over the computed
     estimates, and only that window is kept.
+
+    The k = 1 buffer is an array of twice the buffer size in which cost i is
+    written at i % size and i % size + size, so the last n costs are always
+    one contiguous slice in arrival order.
     """
 
     def __init__(self, k: int, window: int, buffer_size: int):
         self.k = k
         self.window = window
-        self.buffer = deque(maxlen=buffer_size) if k < 2 else None
+        self.size = buffer_size
+        self.ring = np.empty(2 * buffer_size) if k < 2 else None
+        self.seen = 0
         self.history: deque[CvEstimate] = deque(maxlen=window)
         self._costs: Optional[np.ndarray] = None
 
     def observe(self, costs: np.ndarray) -> None:
-        if self.buffer is not None:
-            self.buffer.extend(costs.tolist())
+        if self.ring is not None:
+            i = self.seen % self.size
+            self.ring[i] = self.ring[i + self.size] = costs[0]
+            self.seen += 1
         else:
             self._costs = costs
 
+    def trailing_costs(self) -> np.ndarray:
+        """The last min(seen, buffer size) costs, oldest first (k = 1)."""
+        n = min(self.seen, self.size)
+        start = (self.seen - n) % self.size
+        return self.ring[start:start + n]
+
     def compute(self) -> tuple[Optional[float], Optional[float]]:
         """(raw cv, smoothed cv) for the current state; None where unavailable."""
-        if self.buffer is not None:
-            if len(self.buffer) < 2:
-                return None, self._smoothed()
-            est = estimate_cv(np.array(self.buffer))
-        elif self._costs.shape[0] < 2:
-            # short final minibatch of a shuffled epoch
+        costs = self.trailing_costs() if self.ring is not None else self._costs
+        if costs.shape[0] < 2:
+            # too few costs seen yet, or a short final minibatch of a
+            # shuffled epoch
             return None, self._smoothed()
-        else:
-            est = estimate_cv(self._costs)
+        est = estimate_cv(costs)
         self.history.append(est)
         raw = est.cv if est.valid else None
         return raw, self._smoothed()
@@ -281,42 +304,6 @@ class _CvTracker:
             return smooth_cv(self.history, self.window)
         except InsufficientDataError:
             return None
-
-
-# Most sample coordinates (k * dim per minibatch) one block draw may hold, so
-# a run's memory stays flat in dim.
-BLOCK_COORDINATES = 2 ** 16
-
-
-class _SampleStream:
-    """A run's fresh minibatches of k samples, in the run's RNG draw order.
-
-    Where `problem.block_draws` holds, one `sample` call draws a block of
-    minibatches and each is taken from it in turn: at most BLOCK_COORDINATES
-    coordinates, and never more minibatches than the run still needs. Other
-    problems draw once per minibatch. Both give the same samples.
-    """
-
-    def __init__(self, problem: Problem, rng: np.random.Generator, k: int,
-                 n_batches: int):
-        self.problem, self.rng, self.k = problem, rng, k
-        self.batches_left = n_batches
-        self.per_block = (max(1, BLOCK_COORDINATES // (k * problem.dim))
-                          if problem.block_draws else 1)
-        self.block = None
-        self.start = self.stop = 0
-
-    def draw(self):
-        if self.per_block == 1:
-            return self.problem.sample(self.rng, self.k)
-        if self.start == self.stop:
-            n = min(self.per_block, self.batches_left)
-            self.batches_left -= n
-            self.block = self.problem.sample(self.rng, n * self.k)
-            self.start, self.stop = 0, n * self.k
-        start = self.start
-        self.start += self.k
-        return self.problem.take(self.block, start, self.start)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSummary]:
@@ -345,15 +332,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
     k = int(config.k)
     eval_every = int(config.eval_every)
 
+    total_iterations = config.total_iterations()
     finite = config.train_size is not None
     if finite:
         train_size = int(config.train_size)
         train = problem.sample(rng, train_size)
-        batches_per_epoch = math.ceil(train_size / k)
-        total_iterations = int(config.epochs) * batches_per_epoch
         epoch_denom = train_size
     else:
-        total_iterations = math.ceil(int(config.epochs) * int(config.epoch_size) / k)
         epoch_denom = int(config.epoch_size)
 
     has_test_set = isinstance(problem, LogisticBlobsProblem)
@@ -392,7 +377,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
 
     # a secant phase first spends one sample on the gradient at theta0
     stream = (None if finite
-              else _SampleStream(problem, rng, k, total_iterations + int(in_secant)))
+              else SampleStream(problem, rng, k, total_iterations + int(in_secant)))
     if in_secant:
         init_costs, init_grad = evaluate(np.array([current]), stream.draw())
         samples_consumed += 1
@@ -455,7 +440,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
                 in_secant = False
 
         # --- tracking ---
-        tracked = risk if risk is not None else float(np.mean(costs))
+        # sum / n is how np.mean reduces, without its per-call overhead
+        mean_cost = (float(costs.sum()) / costs.shape[0]
+                     if risk is None or record_due else None)
+        tracked = risk if risk is not None else mean_cost
         if best_risk is None or tracked < best_risk:
             best_risk = tracked
         if (config.risk_threshold is not None and iters_to_threshold is None
@@ -465,7 +453,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
         # --- record ---
         if record_due:
             epoch = samples_consumed // epoch_denom
-            est_risk = float(np.mean(costs))
+            est_risk = mean_cost
             accuracy = None
             if has_test_set and (last_record_epoch is None or epoch > last_record_epoch):
                 est_risk, accuracy = problem.test_metrics(theta)
@@ -480,7 +468,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
                 alpha=float(alpha_i),
                 beta=float(beta_i),
                 accuracy=accuracy,
-                theta_norm=float(np.linalg.norm(theta)),
+                # what np.linalg.norm computes for a 1-D array
+                theta_norm=math.sqrt(float(theta.dot(theta))),
             ))
             last_record_epoch = epoch
 

@@ -2,12 +2,13 @@
 secant-then-SGD hybrid schedule.
 
 All steps are pure functions of (state, inputs); nothing here owns an RNG
-except run_hybrid, which draws one fresh sample per secant/SGD iteration from
-the generator it is handed.
+except run_hybrid, which spends one fresh sample per secant/SGD iteration
+from the generator it is handed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .diagnostics import estimate_cv
 from .errors import ConfigurationError
-from .problems import Minibatch, Problem, draw_minibatch
+from .problems import Minibatch, Problem, SampleStream
 
 Array = np.ndarray
 
@@ -92,7 +93,7 @@ class SecantState:
     grad_prev2: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.theta_prev2) and np.isfinite(self.theta_prev1)):
+        if not (math.isfinite(self.theta_prev2) and math.isfinite(self.theta_prev1)):
             raise ConfigurationError("secant state requires finite iterates")
 
 
@@ -186,6 +187,8 @@ def run_hybrid(problem: Problem, theta0: float, switch_policy: SwitchPolicy,
     iteration (plus one for the gradient at theta0); the SGD phase restarts
     its schedule index at 1. The second secant start point is theta0 / 2
     (or 1.0 when theta0 == 0), so the initial bracket is wide for poor starts.
+    Samples come from a `SampleStream` sized to what the run can spend, so
+    a run that does not diverge leaves `rng` where one draw per sample would.
     """
     if problem.dim != 1:
         raise ConfigurationError(
@@ -193,23 +196,36 @@ def run_hybrid(problem: Problem, theta0: float, switch_policy: SwitchPolicy,
     if max_iterations < 0:
         raise ConfigurationError(f"max_iterations must be >= 0, got {max_iterations}")
     theta = float(theta0)
-    if not np.isfinite(theta):
+    if not math.isfinite(theta):
         raise ConfigurationError("theta0 must be finite")
 
     iterates = [theta]
     samples = [0]
-    cost_window: list[float] = []
+    cv_switch = switch_policy.kind == "cv"
+    cost_window: list[float] = []  # trailing costs, kept for the cv switch only
     switch_index: Optional[int] = None
     diverged = False
-    n_samples = 0
+
+    # no sample is spent before the secant start, so no CV exists yet
+    start = theta
+    in_sgd = switch_policy.fires(start, None)
+    if in_sgd:
+        switch_index = 0
+    else:
+        theta = start / 2.0 if start != 0.0 else 1.0
+        iterates.append(theta)
+        samples.append(0)
+        in_sgd = switch_policy.fires(theta, None)
+        if in_sgd:
+            switch_index = 1
+    stream = SampleStream(problem, rng, 1, max_iterations + (not in_sgd))
 
     def sampled_gradient(at: float) -> float:
-        nonlocal n_samples
-        batch = draw_minibatch(problem, np.array([at]), 1, rng)
-        n_samples += 1
-        cost_window.append(float(batch.costs[0]))
-        del cost_window[:-switch_policy.window]
-        return float(batch.mean_gradient[0])
+        costs, grad = problem.evaluate(np.array([at]), stream.draw())
+        if cv_switch:
+            cost_window.append(float(costs[0]))
+            del cost_window[:-switch_policy.window]
+        return float(grad[0])
 
     def trailing_cv() -> Optional[float]:
         if len(cost_window) < 2:
@@ -217,39 +233,26 @@ def run_hybrid(problem: Problem, theta0: float, switch_policy: SwitchPolicy,
         est = estimate_cv(cost_window)
         return est.cv if est.valid else None
 
-    in_sgd = switch_policy.fires(theta, trailing_cv())
-    if in_sgd:
-        switch_index = 0
+    n_samples = 0
     state: Optional[SecantState] = None
     if not in_sgd:
-        second = theta / 2.0 if theta != 0.0 else 1.0
-        iterates.append(second)
-        samples.append(n_samples)
-        if switch_policy.fires(second, trailing_cv()):
-            in_sgd = True
-            switch_index = 1
-            theta = second
-        else:
-            grad0 = sampled_gradient(theta)
-            state = SecantState(theta_prev2=theta, theta_prev1=second, grad_prev2=grad0)
-            theta = second
+        state = SecantState(theta_prev2=start, theta_prev1=theta,
+                            grad_prev2=sampled_gradient(start))
+        n_samples = 1
 
     sgd_iter = 0
     for _ in range(max_iterations):
+        g = sampled_gradient(theta)
+        n_samples += 1
         if in_sgd:
             sgd_iter += 1
-            batch = draw_minibatch(problem, np.array([theta]), 1, rng)
-            n_samples += 1
-            cost_window.append(float(batch.costs[0]))
-            del cost_window[:-switch_policy.window]
-            theta = float(step_sgd(np.array([theta]), batch,
-                                   sgd_schedule.alpha(sgd_iter))[0])
+            # step_sgd's update, on the scalar
+            theta = theta - sgd_schedule.alpha(sgd_iter) * g
         else:
-            g1 = sampled_gradient(state.theta_prev1)
-            theta, state = step_secant(state, g1)
+            theta, state = step_secant(state, g)
         iterates.append(theta)
         samples.append(n_samples)
-        if not np.isfinite(theta) or abs(theta) > DIVERGENCE_LIMIT:
+        if not math.isfinite(theta) or abs(theta) > DIVERGENCE_LIMIT:
             diverged = True
             break
         if not in_sgd and switch_policy.fires(theta, trailing_cv()):

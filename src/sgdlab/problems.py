@@ -112,6 +112,43 @@ def evaluate_minibatch(problem: Problem, theta, samples) -> Minibatch:
     return Minibatch(samples=samples, costs=costs, mean_gradient=mean_gradient)
 
 
+# Most sample coordinates (k * dim per minibatch) one block draw may hold, so
+# a run's memory stays flat in dim.
+BLOCK_COORDINATES = 2 ** 16
+
+
+class SampleStream:
+    """A run's fresh minibatches of k samples, in the run's RNG draw order.
+
+    Where `problem.block_draws` holds, one `sample` call draws a block of
+    minibatches and each is taken from it in turn: at most BLOCK_COORDINATES
+    coordinates, and never more minibatches than the run still needs. Other
+    problems draw once per minibatch. Both give the same samples, and a run
+    that takes all `n_batches` leaves the generator where per-call draws do.
+    """
+
+    def __init__(self, problem: Problem, rng: np.random.Generator, k: int,
+                 n_batches: int):
+        self.problem, self.rng, self.k = problem, rng, k
+        self.batches_left = n_batches
+        self.per_block = (max(1, BLOCK_COORDINATES // (k * problem.dim))
+                          if problem.block_draws else 1)
+        self.block = None
+        self.start = self.stop = 0
+
+    def draw(self):
+        if self.per_block == 1:
+            return self.problem.sample(self.rng, self.k)
+        if self.start == self.stop:
+            n = min(self.per_block, self.batches_left)
+            self.batches_left -= n
+            self.block = self.problem.sample(self.rng, n * self.k)
+            self.start, self.stop = 0, n * self.k
+        start = self.start
+        self.start += self.k
+        return self.problem.take(self.block, start, self.start)
+
+
 # ---------------------------------------------------------------------------
 # Scalar quadratic cost on a symmetric +/-1 sample ("Rademacher" problem).
 #

@@ -9,14 +9,16 @@ is kept here as an oracle and never used as the implementation path.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .optimizers import AlphaSchedule, SecantState, SwitchPolicy, run_hybrid, step_secant, step_sgd
-from .problems import RademacherProblem, draw_minibatch
+from .errors import ConfigurationError
+from .optimizers import AlphaSchedule, SecantState, SwitchPolicy, run_hybrid, step_secant
+from .problems import RademacherProblem
 
 DEFAULT_SEED = 20240817
 
@@ -186,14 +188,21 @@ def verify_minibatch_scaling(theta: float = 2.0, ks: Sequence[int] = (1, 10, 100
 def sgd_samples_to_unit_ball(theta0: float, rng: np.random.Generator,
                              max_samples: int = 10 ** 5,
                              coefficient: float = 0.5) -> Optional[int]:
-    """Samples a 1/t-rate SGD run needs before |theta| <= 1, single-sample batches."""
+    """Samples a 1/t-rate SGD run needs before |theta| <= 1, single-sample batches.
+
+    The run stops as soon as it reaches the ball, so it draws one sample per
+    step rather than a block it might not spend.
+    """
     problem = RademacherProblem()
     schedule = AlphaSchedule(kind="inverse_t", value=coefficient)
-    theta = np.array([float(theta0)])
+    theta = float(theta0)
     for i in range(1, max_samples + 1):
-        batch = draw_minibatch(problem, theta, 1, rng)
-        theta = step_sgd(theta, batch, schedule.alpha(i))
-        if abs(float(theta[0])) <= 1.0:
+        if not math.isfinite(theta):
+            raise ConfigurationError("parameter vector has non-finite entries")
+        _, grad = problem.evaluate(np.array([theta]), problem.sample(rng, 1))
+        # step_sgd's update, on the scalar
+        theta = theta - schedule.alpha(i) * float(grad[0])
+        if abs(theta) <= 1.0:
             return i
     return None
 

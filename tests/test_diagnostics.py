@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgdlab.diagnostics import (CvEstimate, RolloffPolicy, beta_from_cv,
                                 estimate_cv, smooth_cv)
@@ -29,6 +31,22 @@ class TestEstimateCv:
         costs = [1.0, 2.0, 4.0]
         est = estimate_cv(costs)
         assert est.std_cost == pytest.approx(np.std(costs, ddof=1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=arrays(np.float64, st.integers(2, 300),
+                    elements=st.one_of(st.sampled_from([0.0, 1.0, 4.0]),
+                                       st.floats(0.0, 1e6), st.floats(-1e3, 1e3))))
+    def test_bit_identical_to_numpy_mean_and_std(self, c):
+        # lengths 2-300 cross numpy's 8-wide unrolled and 128-element pairwise
+        # summation blocks; few distinct values give zeros and ties
+        est = estimate_cv(c)
+        mean, std = float(np.mean(c)), float(np.std(c, ddof=1))
+        assert est.mean_cost.hex() == mean.hex()
+        assert est.std_cost.hex() == std.hex()
+        if mean > 0.0:
+            assert est.cv.hex() == (std / mean).hex()
+        else:
+            assert np.isnan(est.cv) and not est.valid
 
     @pytest.mark.parametrize("theta,expected", [(1.0, 1.0), (10.0, 20.0 / 101.0)])
     def test_matches_closed_form_on_large_batch(self, theta, expected):
@@ -134,3 +152,21 @@ class TestSmoothCv:
             smooth_cv([bad, bad], 5)
         with pytest.raises(InsufficientDataError):
             smooth_cv([], 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cvs=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                  st.floats(0.0, 1e3, allow_nan=False),
+                                  st.none()), min_size=1, max_size=40),
+           window=st.integers(1, 50))
+    @example(cvs=[0.3, 0.1, 0.2, 0.4], window=4)  # even count
+    @example(cvs=[0.3, 0.1, 0.2], window=3)       # odd count
+    def test_equals_numpy_median(self, cvs, window):
+        # None stands for an invalid estimate, which the median skips
+        bad = CvEstimate(mean_cost=-1.0, std_cost=1.0, cv=float("nan"), k=5)
+        history = [bad if cv is None else self._est(cv) for cv in cvs]
+        valid = [cv for cv in cvs[-window:] if cv is not None]
+        if not valid:
+            with pytest.raises(InsufficientDataError):
+                smooth_cv(history, window)
+        else:
+            assert smooth_cv(history, window).hex() == float(np.median(valid)).hex()

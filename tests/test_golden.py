@@ -1,6 +1,7 @@
-"""Golden traces: the SHA-256 of the trace each checked-in config writes.
+"""Golden outputs: the SHA-256 of the trace each checked-in config writes,
+of a small grid's summary.csv and of the `sgdlab verify --quick` report.
 
-A change that alters any trace byte (draw order, evaluation order, float
+A change that alters any output byte (draw order, evaluation order, float
 formatting, CV bookkeeping) fails here. Re-pin only with a stated reason.
 """
 
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from sgdlab.harness import ExperimentConfig, load_config, run_experiment, write_trace
+from sgdlab.cli import main as cli_main
+from sgdlab.harness import (ExperimentConfig, load_config, run_experiment, run_grid,
+                            write_trace)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -31,10 +34,29 @@ NOISY_LEAST_SQUARES = dict(
 NOISY_LEAST_SQUARES_SHA256 = "f1eb47ad647c10a2b8e381ee3f80c0dd86a1d7771ddc7d9f0fee54585d3f0b2a"
 
 
+# A 2x2x2 grid (momenta x learning rates x seeds) on a small noiseless
+# least-squares base: per-cell medians, divergence counts and the
+# iterations-to-threshold column of summary.csv.
+GRID_BASE = dict(
+    problem="least_squares", dim=5, condition_number=10.0, noise_std=0.0,
+    problem_seed=3, theta0_scale=5.0, optimizer="momentum", beta=0.5, k=8,
+    alpha=0.01, epochs=1, epoch_size=800, eval_every=10, risk_threshold=1e-2,
+    seed=0)
+GRID_SUMMARY_SHA256 = "5d26f723aa55d7777002027bc91c6914037e6ac194b9b1bb724b527f019f0e09"
+
+# `sgdlab verify --quick` report: every claim's statistic to 17 digits, so
+# run_hybrid, the secant steps and the per-step SGD runs are all pinned.
+VERIFY_QUICK_SHA256 = "fc5b7e8e6f5adecb5dbdf1a090cab6805f6c68983bac6eea76bc027a4c5e0ad3"
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def trace_sha256(config, path):
     records, _ = run_experiment(config)
     write_trace(records, path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return sha256(path)
 
 
 def test_every_config_is_pinned():
@@ -50,3 +72,15 @@ def test_config_trace_hash(name, tmp_path):
 def test_noisy_least_squares_trace_hash(tmp_path):
     config = ExperimentConfig.from_dict(NOISY_LEAST_SQUARES)
     assert trace_sha256(config, tmp_path / "trace.csv") == NOISY_LEAST_SQUARES_SHA256
+
+
+def test_grid_summary_hash(tmp_path):
+    run_grid(ExperimentConfig.from_dict(GRID_BASE), [0.0, 0.5], [0.01, 0.03],
+             [1, 2], tmp_path)
+    assert sha256(tmp_path / "summary.csv") == GRID_SUMMARY_SHA256
+
+
+def test_verify_quick_report_hash(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    assert cli_main(["verify", "--quick", "--out", str(report)]) == 2
+    assert sha256(report) == VERIFY_QUICK_SHA256

@@ -1,15 +1,21 @@
 """Harness contracts: config validation, epoch accounting, determinism,
 trace round-trips, grids, and the CLI exit codes."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sgdlab.cli import main as cli_main
 from sgdlab.errors import ConfigurationError
-from sgdlab.harness import (BLOCK_COORDINATES, TRACE_HEADER, ExperimentConfig,
-                            _SampleStream, build_problem, load_config,
-                            read_trace, run_experiment, run_grid, write_trace)
-from sgdlab.problems import LeastSquaresProblem, RademacherProblem
+from sgdlab.diagnostics import estimate_cv
+from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, _CvTracker,
+                            build_problem, load_config, read_trace,
+                            run_experiment, run_grid, write_trace)
+from sgdlab.optimizers import AlphaSchedule, SwitchPolicy, run_hybrid
+from sgdlab.problems import (BLOCK_COORDINATES, LeastSquaresProblem,
+                             RademacherProblem, SampleStream)
 
 
 def make_config(**overrides):
@@ -51,6 +57,11 @@ class TestConfigValidation:
               switch_threshold=float("nan")), "switch_threshold must be finite"),
         (dict(problem="least_squares", dim=2, condition_number=float("nan")),
          "condition_number must be finite"),
+        # epoch_size 100 at k = 1: 100 iterations
+        (dict(eval_every=101), "exceeds the run's 100 iterations"),
+        # finite mode: 2 epochs of ceil(10 / 3) = 4 minibatches
+        (dict(problem="least_squares", dim=2, train_size=10, k=3, epochs=2,
+              eval_every=9), "exceeds the run's 8 iterations"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,
@@ -180,6 +191,29 @@ class TestRobbinsMonroRun:
             assert np.isfinite(r.theta_norm)
 
 
+class TestCvTracker:
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(2, 30),
+           costs=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 4.0]),
+                                    st.floats(0.0, 1e6)), max_size=100))
+    @example(size=3, costs=[4.0, 0.0, 1.0, 4.0, 4.0, 0.0, 2.5, 1.0, 9.0, 0.0])
+    def test_trailing_costs_equal_bounded_deque(self, size, costs):
+        # checked after every cost: below, at and past the buffer size, and
+        # across each wrap of the doubled array
+        tracker = _CvTracker(1, 10, size)
+        window = deque(maxlen=size)
+        for cost in costs:
+            tracker.observe(np.array([cost]))
+            window.append(cost)
+            view, want = tracker.trailing_costs(), np.array(window)
+            assert view.tobytes() == want.tobytes()
+            want_raw = None
+            if len(window) >= 2:
+                est = estimate_cv(want)
+                want_raw = est.cv if est.valid else None
+            assert tracker.compute()[0] == want_raw
+
+
 class TestSampleStream:
     """Block-drawn fresh samples equal per-call draws, sample for sample."""
 
@@ -203,7 +237,7 @@ class TestSampleStream:
         draw = problem.sample
         problem.sample = lambda rng, n: sample_calls.append(n) or draw(rng, n)
         rng_block, rng_call = np.random.default_rng(5), np.random.default_rng(5)
-        stream = _SampleStream(problem, rng_block, k, n_batches)
+        stream = SampleStream(problem, rng_block, k, n_batches)
         for _ in range(n_batches):
             got, want = stream.draw(), draw(rng_call, k)
             if isinstance(want, tuple):
@@ -264,6 +298,39 @@ class TestHybridRun:
         assert alphas[first_sgd] == 0.5
         assert abs(summary.final_theta[0]) < 1.0
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("switch_kind,threshold", [
+        ("abs_theta", 1.0),
+        ("abs_theta", 0.0),  # never fires: a 300-step secant phase
+        ("cv", 0.9),
+        ("cv", 5.0),
+    ])
+    def test_matches_run_hybrid(self, switch_kind, threshold, seed):
+        # run_hybrid and the harness's hybrid loop implement one algorithm;
+        # with equal CV windows they visit the same iterates
+        config = ExperimentConfig.from_dict(dict(
+            problem="rademacher", theta0=500.0, optimizer="hybrid",
+            switch_kind=switch_kind, switch_threshold=threshold, k=1, alpha=0.5,
+            alpha_schedule="inverse_t", epochs=1, epoch_size=300, eval_every=1,
+            cv_buffer=20, seed=seed))
+        records, summary = run_experiment(config)
+        rng = np.random.default_rng(seed)
+        run = run_hybrid(RademacherProblem(), 500.0,
+                         SwitchPolicy(kind=switch_kind, threshold=threshold, window=20),
+                         AlphaSchedule(kind="inverse_t", value=0.5), rng, 300)
+        assert not run.diverged and not summary.diverged
+        # iterates[0] is theta0 and iterates[1] the free second point
+        assert np.array_equal(np.abs(run.iterates[2:]), [r.theta_norm for r in records])
+        assert run.iterates[-1] == summary.final_theta[0]
+        secant_rows = sum(r.alpha == 0.0 for r in records)
+        assert secant_rows == (len(records) if run.switch_index is None
+                               else run.switch_index - 1)
+        # the generator ends where one draw per sample would leave it
+        rng_call = np.random.default_rng(seed)
+        for _ in range(int(run.samples[-1])):
+            RademacherProblem().sample(rng_call, 1)
+        assert rng.bit_generator.state == rng_call.bit_generator.state
+
 
 class TestGrid:
     def _base(self, **overrides):
@@ -322,6 +389,14 @@ class TestCli:
         bad.write_text("problem: rademacher\ntheta0: abc\noptimizer: sgd\nalpha: 0.1\n")
         assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
         assert "theta0 must be a number" in capsys.readouterr().err
+
+    def test_run_eval_every_beyond_iterations_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("problem: rademacher\ntheta0: 1.0\noptimizer: sgd\nalpha: 0.1\n"
+                       "epochs: 1\nepoch_size: 50\neval_every: 51\n")
+        assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
+        assert "eval_every (51) exceeds" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_run_missing_file_exits_3(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "absent.yaml")]) == 3

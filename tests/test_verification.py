@@ -4,6 +4,7 @@ the closed-form cross-checks at reduced sample sizes."""
 import numpy as np
 import pytest
 
+from sgdlab.errors import ConfigurationError
 from sgdlab.verification import (OracleReport, REPORT_HEADER, claim_passes,
                                  explicit_secant_update, format_report,
                                  sgd_samples_to_unit_ball,
@@ -118,6 +119,16 @@ class TestHybridAdvantage:
                 reached = sgd_samples_to_unit_ball(
                     1e4, np.random.default_rng(seed), coefficient=m / 2)
                 assert reached == m, f"coefficient {m / 2}, seed {seed}"
+
+    @pytest.mark.parametrize("theta0,coefficient", [
+        (float("nan"), 0.5),
+        (1e150, 1e160),  # the first step overflows to -inf
+    ])
+    def test_sgd_run_rejects_non_finite_iterate(self, theta0, coefficient):
+        with pytest.raises(ConfigurationError, match="non-finite"), \
+                np.errstate(over="ignore"):
+            sgd_samples_to_unit_ball(theta0, np.random.default_rng(0),
+                                     coefficient=coefficient)
 
     def test_hybrid_needs_at_least_two_samples(self):
         for seed in range(20):
