@@ -90,7 +90,9 @@ class RolloffPolicy:
             return self.beta_max
         if cv >= self.cv_high:
             return 0.0
-        return self.beta_max * (self.cv_high - cv) / (self.cv_high - self.cv_low)
+        # rounding can put the ramp's first values just above beta_max
+        return min(self.beta_max,
+                   self.beta_max * (self.cv_high - cv) / (self.cv_high - self.cv_low))
 
 
 def beta_from_cv(policy: RolloffPolicy, estimate: CvEstimate) -> float:

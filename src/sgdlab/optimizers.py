@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -85,33 +85,55 @@ class SecantState:
     """The two previous scalar iterates plus the sampled gradient at the older one.
 
     The sampled gradient at theta_prev1 is drawn fresh each iteration and passed
-    to step_secant directly; after the step it becomes grad_prev2.
+    to step_secant directly; after the step it becomes grad_prev2. The fields
+    may also be arrays of one shape, each element an independent scalar run.
     """
 
-    theta_prev2: float
-    theta_prev1: float
-    grad_prev2: float
+    theta_prev2: Union[float, Array]
+    theta_prev1: Union[float, Array]
+    grad_prev2: Union[float, Array]
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta_prev2) and math.isfinite(self.theta_prev1)):
+        if not (_all_finite(self.theta_prev2) and _all_finite(self.theta_prev1)):
             raise ConfigurationError("secant state requires finite iterates")
 
 
-def step_secant(state: SecantState, grad_at_prev1: float) -> tuple[float, SecantState]:
+def _all_finite(x) -> bool:
+    if isinstance(x, np.ndarray):
+        return bool(np.isfinite(x).all())
+    return math.isfinite(x)
+
+
+def _secant_point(t2, t1, g1, denom):
+    """t1 - g1 * (t1 - t2) / denom, for floats or element by element on arrays."""
+    return t1 - g1 * (t1 - t2) / denom
+
+
+def step_secant(state: SecantState, grad_at_prev1: Union[float, Array]
+                ) -> tuple[Union[float, Array], SecantState]:
     """One secant update from sampled gradients:
 
         theta' = theta_prev1 - g1 * (theta_prev1 - theta_prev2) / (g1 - g2)
 
     Degenerate cases (equal iterates, or exactly equal sampled gradients at
-    distinct iterates) return theta_prev1 unchanged.
+    distinct iterates) return theta_prev1 unchanged. A state of arrays steps
+    every element with the same arithmetic a scalar state would use.
     """
     t2, t1, g2 = state.theta_prev2, state.theta_prev1, state.grad_prev2
-    g1 = float(grad_at_prev1)
-    denom = g1 - g2
-    if t1 == t2 or denom == 0.0:
-        theta_new = t1
+    if isinstance(t1, np.ndarray):
+        g1 = np.asarray(grad_at_prev1, dtype=float)
+        denom = g1 - g2
+        keep = (t1 == t2) | (denom == 0.0)
+        # kept elements may divide by zero; np.where discards those values
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            theta_new = np.where(keep, t1, _secant_point(t2, t1, g1, denom))
     else:
-        theta_new = t1 - g1 * (t1 - t2) / denom
+        g1 = float(grad_at_prev1)
+        denom = g1 - g2
+        if t1 == t2 or denom == 0.0:
+            theta_new = t1
+        else:
+            theta_new = _secant_point(t2, t1, g1, denom)
     return theta_new, SecantState(theta_prev2=t1, theta_prev1=theta_new, grad_prev2=g1)
 
 

@@ -17,6 +17,12 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
 
 
+def _escape(text: str) -> str:
+    """Text escaped for an SVG text node. (xml.sax.saxutils.escape does the
+    same but its import pulls in urllib.request: ~25 ms and ~7 MB.)"""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi == lo:
         return [lo]
@@ -41,7 +47,7 @@ class _Canvas:
         self.parts.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
         self.parts.append(
             f'<text x="{WIDTH / 2}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>')
+            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>')
         # axes
         bx, by = MARGIN_L, HEIGHT - MARGIN_B
         tx, ty = WIDTH - MARGIN_R, MARGIN_T
@@ -61,11 +67,11 @@ class _Canvas:
                 f'font-family="sans-serif" font-size="11">{yv:.4g}</text>')
         self.parts.append(
             f'<text x="{(bx + tx) / 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{xlabel}</text>')
+            f'font-family="sans-serif" font-size="12">{_escape(xlabel)}</text>')
         self.parts.append(
             f'<text x="18" y="{(by + ty) / 2}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 18 {(by + ty) / 2})">{ylabel}</text>')
+            f'transform="rotate(-90 18 {(by + ty) / 2})">{_escape(ylabel)}</text>')
         self._legend_y = MARGIN_T + 10
 
     def px(self, x: float) -> float:
@@ -92,7 +98,7 @@ class _Canvas:
                           f'y2="{self._legend_y}" stroke="{color}" stroke-width="2"/>')
         self.parts.append(
             f'<text x="{x + 24}" y="{self._legend_y + 4}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>')
+            f'font-size="11">{_escape(label)}</text>')
         self._legend_y += 16
 
     def render(self) -> str:

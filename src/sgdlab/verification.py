@@ -24,6 +24,9 @@ DEFAULT_SEED = 20240817
 
 COMPARISONS = ("within", "at_least", "below")
 
+# Long-run secant trials stepped together; bounds the draws held at once.
+LONG_RUN_BLOCK = 128
+
 
 def claim_passes(statistic: float, expected: float, tolerance: float,
                  comparison: str) -> bool:
@@ -60,22 +63,22 @@ class OracleReport:
         )
 
 
-def explicit_secant_update(theta_prev2: float, theta_prev1: float,
-                           x_prev2: float, x_prev1: float) -> float:
+def explicit_secant_update(theta_prev2, theta_prev1, x_prev2, x_prev1):
     """Closed-form secant update for the scalar quadratic cost (theta - x)^2:
 
         (t1*x2 - t2*x1) / (t1 - x1 - t2 + x2)
 
     with the same degenerate convention as the generic step (return t1).
+    Takes floats, or arrays element by element.
     """
     denom = theta_prev1 - x_prev1 - theta_prev2 + x_prev2
-    if theta_prev1 == theta_prev2 or denom == 0.0:
+    keep = (theta_prev1 == theta_prev2) | (denom == 0.0)
+    if np.ndim(keep) == 0 and keep:
         return theta_prev1
-    return (theta_prev1 * x_prev2 - theta_prev2 * x_prev1) / denom
-
-
-def _rademacher_cv(theta: float) -> float:
-    return 2.0 * abs(theta) / (theta * theta + 1.0)
+    # kept array elements may divide by zero; np.where discards those values
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        update = (theta_prev1 * x_prev2 - theta_prev2 * x_prev1) / denom
+    return np.where(keep, theta_prev1, update) if np.ndim(keep) else update
 
 
 def verify_cv_formula(thetas: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 10.0),
@@ -95,7 +98,7 @@ def verify_cv_formula(thetas: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 10.0),
         mean = costs.mean()
         std = costs.std(ddof=1)
         statistic = std / mean
-        expected = _rademacher_cv(theta)
+        expected = problem.oracle.true_cv(np.array([theta]))
         tolerance = 4.0 * expected ** 2 / np.sqrt(n)
         reports.append(OracleReport.make(
             f"cv_formula_theta_{theta:g}", statistic, expected, tolerance,
@@ -116,6 +119,59 @@ def verify_cv_asymptote(thetas: Sequence[float] = (1e2, 1e4, 1e6),
     ]
 
 
+def secant_one_step_trials(rng: np.random.Generator, n_trials: int,
+                           start_span: float) -> tuple[np.ndarray, np.ndarray]:
+    """One secant step per trial from random distinct starts in
+    [-start_span, start_span) with a fresh +/-1 sample at each start: the
+    generic step's iterates and the explicit closed form's, as arrays.
+
+    The draws are made trial by trial, in the order a one-trial-at-a-time
+    loop makes them; the step itself runs on all trials at once.
+    """
+    starts = np.empty((n_trials, 2))
+    signs = np.empty((n_trials, 2))
+    for i in range(n_trials):
+        starts[i] = rng.uniform(-start_span, start_span, size=2)
+        while starts[i, 1] == starts[i, 0]:
+            starts[i, 1] = rng.uniform(-start_span, start_span)
+        signs[i] = rng.integers(0, 2, size=2)
+    t2, t1 = starts.T
+    x2, x1 = (signs * 2.0 - 1.0).T
+    state = SecantState(theta_prev2=t2, theta_prev1=t1, grad_prev2=2.0 * (t2 - x2))
+    theta_new, _ = step_secant(state, 2.0 * (t1 - x1))
+    return theta_new, explicit_secant_update(t2, t1, x2, x1)
+
+
+def secant_long_run_finals(rng: np.random.Generator, n_trials: int, n_steps: int,
+                           start_span: float) -> np.ndarray:
+    """|theta| after n_steps secant iterations per trial, each trial from random
+    starts in [-start_span, start_span) with a fresh +/-1 sample per gradient.
+
+    Trials draw in trial order, as a one-trial-at-a-time loop would, and are
+    stepped together in blocks of `LONG_RUN_BLOCK`.
+    """
+    finals = np.empty(n_trials)
+    for lo in range(0, n_trials, LONG_RUN_BLOCK):
+        n = min(LONG_RUN_BLOCK, n_trials - lo)
+        starts = np.empty((n, 2))
+        draws = np.empty((n, n_steps + 1), dtype=np.int64)
+        for j in range(n):
+            starts[j] = rng.uniform(-start_span, start_span, size=2)
+            # One sized call equals as many scalar draws: the bit generator
+            # keeps the spare 32-bit half of its last output for the next
+            # trial either way.
+            draws[j] = rng.integers(0, 2, size=n_steps + 1)
+        t2, t1 = starts.T
+        xs = (draws.T * 2 - 1).astype(float)  # row s: every trial's sample s
+        state = SecantState(theta_prev2=t2, theta_prev1=t1,
+                            grad_prev2=2.0 * (t2 - xs[0]))
+        theta = t1
+        for x in xs[1:]:
+            theta, state = step_secant(state, 2.0 * (state.theta_prev1 - x))
+        finals[lo:lo + n] = np.abs(theta)
+    return finals
+
+
 def verify_secant_absorption(n_trials: int = 10 ** 4, seed: int = DEFAULT_SEED,
                              start_span: float = 10.0,
                              long_run_trials: int = 10 ** 3,
@@ -129,36 +185,17 @@ def verify_secant_absorption(n_trials: int = 10 ** 4, seed: int = DEFAULT_SEED,
     after `long_run_steps` iterations stays at or above 0.5.
     """
     rng = np.random.default_rng(seed)
-    hits = 0
-    max_dev = 0.0
-    for _ in range(n_trials):
-        t2, t1 = rng.uniform(-start_span, start_span, size=2)
-        while t1 == t2:
-            t1 = rng.uniform(-start_span, start_span)
-        x2, x1 = rng.integers(0, 2, size=2) * 2.0 - 1.0
-        state = SecantState(theta_prev2=t2, theta_prev1=t1,
-                            grad_prev2=2.0 * (t2 - x2))
-        theta_new, _ = step_secant(state, 2.0 * (t1 - x1))
-        explicit = explicit_secant_update(t2, t1, x2, x1)
-        max_dev = max(max_dev,
-                      abs(theta_new - explicit) / max(1.0, abs(explicit)))
-        if abs(abs(theta_new) - 1.0) <= 1e-9:
-            hits += 1
+    theta_new, explicit = secant_one_step_trials(rng, n_trials, start_span)
+    # fmax skips NaN, as a running max() over the trials would
+    max_dev = float(np.fmax.reduce(np.abs(theta_new - explicit)
+                                   / np.maximum(1.0, np.abs(explicit)), initial=0.0))
+    hits = int(np.count_nonzero(np.abs(np.abs(theta_new) - 1.0) <= 1e-9))
     band = 3.0 * np.sqrt(0.25 / n_trials)
     one_step = OracleReport.make(
         "secant_absorption_one_step", hits / n_trials, 0.5, band, "at_least",
         n_trials, note=f"max scaled |generic - explicit| = {max_dev:.3g}")
 
-    finals = np.empty(long_run_trials)
-    for trial in range(long_run_trials):
-        t2, t1 = rng.uniform(-start_span, start_span, size=2)
-        state = SecantState(theta_prev2=t2, theta_prev1=t1,
-                            grad_prev2=2.0 * (t2 - float(rng.integers(0, 2) * 2 - 1)))
-        theta = t1
-        for _ in range(long_run_steps):
-            x = float(rng.integers(0, 2) * 2 - 1)
-            theta, state = step_secant(state, 2.0 * (state.theta_prev1 - x))
-        finals[trial] = abs(theta)
+    finals = secant_long_run_finals(rng, long_run_trials, long_run_steps, start_span)
     long_run = OracleReport.make(
         "secant_absorption_long_run", float(np.median(finals)), 0.5, 0.0,
         "at_least", long_run_trials,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sgdlab.diagnostics import (CvEstimate, RolloffPolicy, beta_from_cv,
+from sgdlab.diagnostics import (POLICY_KINDS, CvEstimate, RolloffPolicy, beta_from_cv,
                                 estimate_cv, smooth_cv)
 from sgdlab.errors import ConfigurationError, InsufficientDataError
 from sgdlab.problems import RademacherProblem
@@ -121,6 +121,22 @@ class TestRolloffPolicy:
         cvs = np.sort(rng.uniform(0.0, 3.0, size=200))
         betas = [policy.beta(c) for c in cvs]
         assert all(0.0 <= b <= 0.9 for b in betas)
+        assert all(b1 >= b2 for b1, b2 in zip(betas, betas[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(POLICY_KINDS),
+           beta_max=st.floats(0.0, 1.0, exclude_max=True),
+           bounds=st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)).filter(
+               lambda b: b[0] < b[1]),
+           cvs=st.lists(st.floats(0.0, 2e3), min_size=2, max_size=20))
+    @example(kind="cv_linear", beta_max=0.9, bounds=(0.1, 1.0), cvs=[0.1, 0.55, 1.0])
+    # 0.1 * 3.0 / 3.0 rounds to 0.10000000000000002: the ramp starts above beta_max
+    @example(kind="cv_linear", beta_max=0.1, bounds=(0.0, 3.0), cvs=[0.0, 1e-300])
+    def test_beta_never_rises_as_cv_rises(self, kind, beta_max, bounds, cvs):
+        policy = RolloffPolicy(kind=kind, beta_max=beta_max, cv_low=bounds[0],
+                               cv_high=bounds[1])
+        betas = [policy.beta(cv) for cv in sorted(cvs)]
+        assert all(0.0 <= b <= beta_max for b in betas)
         assert all(b1 >= b2 for b1, b2 in zip(betas, betas[1:]))
 
 

@@ -1,5 +1,6 @@
 """Golden outputs: the SHA-256 of the trace each checked-in config writes,
-of a small grid's summary.csv and of the `sgdlab verify --quick` report.
+of a small grid's summary.csv and of the `sgdlab verify --quick` report, and
+the default-size secant-absorption claims.
 
 A change that alters any output byte (draw order, evaluation order, float
 formatting, CV bookkeeping) fails here. Re-pin only with a stated reason.
@@ -13,6 +14,7 @@ import pytest
 from sgdlab.cli import main as cli_main
 from sgdlab.harness import (ExperimentConfig, load_config, run_experiment, run_grid,
                             write_trace)
+from sgdlab.verification import DEFAULT_SEED, verify_secant_absorption
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -47,6 +49,14 @@ GRID_SUMMARY_SHA256 = "5d26f723aa55d7777002027bc91c6914037e6ac194b9b1bb724b527f0
 # `sgdlab verify --quick` report: every claim's statistic to 17 digits, so
 # run_hybrid, the secant steps and the per-step SGD runs are all pinned.
 VERIFY_QUICK_SHA256 = "fc5b7e8e6f5adecb5dbdf1a090cab6805f6c68983bac6eea76bc027a4c5e0ad3"
+
+# Default-size `verify_secant_absorption` (10^4 one-step trials, 10^3 long
+# runs of 100 steps): (statistic, n, passed) of the one-step and long-run
+# reports, recorded from the per-trial loop before the trials ran as arrays.
+SECANT_ABSORPTION_FULL = {
+    DEFAULT_SEED: [(0.5115, 10000, True), (1.0, 1000, True)],
+    1: [(0.5035, 10000, True), (1.0, 1000, True)],
+}
 
 
 def sha256(path):
@@ -84,3 +94,9 @@ def test_verify_quick_report_hash(tmp_path, capsys):
     report = tmp_path / "report.csv"
     assert cli_main(["verify", "--quick", "--out", str(report)]) == 2
     assert sha256(report) == VERIFY_QUICK_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(SECANT_ABSORPTION_FULL))
+def test_secant_absorption_full_size(seed):
+    reports = verify_secant_absorption(seed=seed)
+    assert [(r.statistic, r.n, r.passed) for r in reports] == SECANT_ABSORPTION_FULL[seed]

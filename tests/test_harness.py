@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from sgdlab.cli import main as cli_main
 from sgdlab.errors import ConfigurationError
 from sgdlab.diagnostics import estimate_cv
-from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, _CvTracker,
+from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, TraceRecord, _CvTracker,
                             build_problem, load_config, read_trace,
                             run_experiment, run_grid, write_trace)
 from sgdlab.optimizers import AlphaSchedule, SwitchPolicy, run_hybrid
@@ -148,6 +148,24 @@ class TestDeterminismAndRoundTrip:
         path = tmp_path / "t.csv"
         write_trace(records, path)
         assert read_trace(path) == records
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(st.builds(
+        TraceRecord,
+        epoch=st.integers(0, 10 ** 6), iteration=st.integers(0, 10 ** 9),
+        true_risk=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+        est_risk=st.floats(allow_nan=False, allow_infinity=False),
+        cv_raw=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+        cv_smoothed=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+        alpha=st.floats(allow_nan=False, allow_infinity=False),
+        beta=st.floats(allow_nan=False, allow_infinity=False),
+        accuracy=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+        theta_norm=st.floats(allow_nan=False, allow_infinity=False)), max_size=5))
+    def test_write_read_round_trip_any_finite_floats(self, records, tmp_path_factory):
+        path = tmp_path_factory.mktemp("trace") / "t.csv"
+        write_trace(records, path)
+        # repr tells -0.0 from 0.0 and shows every digit
+        assert repr(read_trace(path)) == repr(records)
 
     def test_empty_trace_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

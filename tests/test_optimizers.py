@@ -3,6 +3,7 @@ equivalence, secant algebra, and hybrid scheduling."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sgdlab.errors import ConfigurationError
 from sgdlab.optimizers import (AlphaSchedule, MomentumState, SecantState,
@@ -136,6 +137,44 @@ class TestSecantStep:
             theta_new, _ = step_secant(state, 2.0 * (t1 - x1))
             assert abs(theta_new - explicit_secant_update(t2, t1, x2, x1)) <= 1e-12
             checked += 1
+
+
+# few distinct values make equal iterates, equal gradients and +/-0.0 pairs
+# common; huge finite iterates overflow the update to a non-finite value
+ITERATES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+GRADIENTS = st.sampled_from([0.0, -0.0, 2.0, -2.0]) | st.floats()
+
+
+class TestArraySecantStep:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(ITERATES, ITERATES, GRADIENTS, GRADIENTS),
+                         min_size=1, max_size=12))
+    @example(rows=[(2.5, 2.5, 1.0, 7.0), (1.0, 4.0, 3.0, 3.0), (-0.0, 0.0, 2.0, -2.0),
+                   (4.0, 2.0, 0.0, -0.0), (5.0, 3.0, 10.0, 6.0)])
+    @example(rows=[(1.0, 2.0, 0.0, 1.0), (-1e308, 1e308, 1.0, 2.0)])
+    def test_equals_scalar_step_elementwise(self, rows):
+        """An array state steps each element exactly as a scalar state would,
+        and raises ConfigurationError when any element's iterate is non-finite."""
+        t2, t1, g2, g1 = (np.array(column) for column in zip(*rows))
+        try:
+            scalar = [step_secant(SecantState(a, b, c), d) for a, b, c, d in rows]
+        except ConfigurationError:
+            with pytest.raises(ConfigurationError):
+                step_secant(SecantState(t2, t1, g2), g1)
+            return
+        theta, state = step_secant(SecantState(t2, t1, g2), g1)
+        # tobytes tells -0.0 from 0.0
+        assert theta.tobytes() == np.array([th for th, _ in scalar]).tobytes()
+        for field in ("theta_prev2", "theta_prev1", "grad_prev2"):
+            expected = np.array([getattr(one, field) for _, one in scalar])
+            assert getattr(state, field).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_state_rejects_any_non_finite_iterate(self, bad):
+        for t2, t1 in [([1.0, bad], [2.0, 3.0]), ([1.0, 2.0], [bad, 3.0])]:
+            with pytest.raises(ConfigurationError):
+                SecantState(np.array(t2), np.array(t1), np.zeros(2))
 
 
 class TestHybrid:

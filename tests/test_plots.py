@@ -1,6 +1,7 @@
 """SVG figure generation from traces."""
 
 import re
+from xml.etree import ElementTree
 
 import pytest
 
@@ -72,3 +73,14 @@ def test_missing_column_is_named(tmp_path):
     bad.write_text("epoch,iteration,true_risk\n0,1,2.0\n")
     with pytest.raises(TraceFormatError, match="est_risk"):
         emit_plots([bad], tmp_path / "figs")
+
+
+def test_labels_are_xml_escaped(rademacher_trace, tmp_path):
+    odd = rademacher_trace.with_name("a&b<c.csv")
+    odd.write_bytes(rademacher_trace.read_bytes())
+    written = emit_plots([odd], tmp_path / "figs")
+    for name in ("risk.svg", "cv_scatter.svg"):
+        root = ElementTree.parse(tmp_path / "figs" / name).getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "a&b<c" in texts
+    assert {p.name for p in written} == {"risk.svg", "cv_scatter.svg"}

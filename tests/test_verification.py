@@ -4,9 +4,12 @@ the closed-form cross-checks at reduced sample sizes."""
 import numpy as np
 import pytest
 
+from secant_absorption_oracle import reference_secant_absorption
 from sgdlab.errors import ConfigurationError
-from sgdlab.verification import (OracleReport, REPORT_HEADER, claim_passes,
-                                 explicit_secant_update, format_report,
+from sgdlab.verification import (DEFAULT_SEED, OracleReport, REPORT_HEADER,
+                                 claim_passes, explicit_secant_update,
+                                 format_report, secant_long_run_finals,
+                                 secant_one_step_trials,
                                  sgd_samples_to_unit_ball,
                                  hybrid_samples_to_unit_ball,
                                  verify_cv_asymptote, verify_cv_formula,
@@ -51,6 +54,13 @@ class TestExplicitSecant:
         # denominator exactly zero with distinct thetas
         assert explicit_secant_update(4.0, 2.0, 1.0, -1.0) == 2.0
 
+    def test_arrays_match_scalars_elementwise(self):
+        cases = [(4.0, 2.0, 1.0, 1.0), (5.0, 3.0, 0.0, 0.0), (2.0, 2.0, 1.0, -1.0),
+                 (4.0, 2.0, 1.0, -1.0), (-3.5, 7.25, 1.0, -1.0), (-0.0, 0.0, 1.0, 1.0)]
+        got = explicit_secant_update(*(np.array(c) for c in zip(*cases)))
+        expected = np.array([explicit_secant_update(*c) for c in cases])
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestCvFormula:
     def test_all_pass_at_reduced_n(self):
@@ -78,6 +88,57 @@ class TestSecantAbsorption:
         assert one_step.passed and long_run.passed
         assert one_step.statistic == pytest.approx(0.5, abs=0.05)
         assert long_run.statistic >= 0.5
+
+    # (n_trials, long_run_trials, long_run_steps): odd trial counts, and
+    # long_run_steps + 1 draws per long run of both parities
+    @pytest.mark.parametrize("sizes", [(10 ** 4, 10 ** 3, 100), (1000, 101, 100),
+                                       (999, 37, 7), (10, 5, 1)])
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2])
+    def test_array_trials_equal_per_trial_loop(self, seed, sizes):
+        n_trials, long_run_trials, long_run_steps = sizes
+        reports, one_step, finals = reference_secant_absorption(
+            n_trials, seed, long_run_trials=long_run_trials,
+            long_run_steps=long_run_steps)
+        rng = np.random.default_rng(seed)
+        theta_new, _ = secant_one_step_trials(rng, n_trials, 10.0)
+        assert np.array_equal(theta_new, one_step)
+        assert np.array_equal(
+            secant_long_run_finals(rng, long_run_trials, long_run_steps, 10.0), finals)
+        # the hit count is the one-step statistic times n_trials
+        assert verify_secant_absorption(
+            n_trials, seed, long_run_trials=long_run_trials,
+            long_run_steps=long_run_steps) == reports
+
+    def test_equal_starts_are_redrawn_like_the_per_trial_loop(self, monkeypatch):
+        # equal uniform starts have probability ~2^-53, so force the first
+        # trial's pair to tie and check both versions redraw it the same way
+        default_rng = np.random.default_rng
+        redraws = []
+
+        class TiedFirstStart:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+                self.tied = False
+
+            def uniform(self, low, high, size=None):
+                values = self.rng.uniform(low, high, size)
+                if size is None:
+                    redraws.append(values)
+                elif not self.tied:
+                    self.tied = True
+                    values[1] = values[0]
+                return values
+
+            def integers(self, *args, **kwargs):
+                return self.rng.integers(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", TiedFirstStart)
+        # seed 4's first trial draws distinct signs, so the order of the
+        # redrawn pair matters
+        _, one_step, _ = reference_secant_absorption(20, 4, long_run_trials=1)
+        theta_new, _ = secant_one_step_trials(np.random.default_rng(4), 20, 10.0)
+        assert np.array_equal(theta_new, one_step)
+        assert len(redraws) == 2
 
     def test_same_sign_frequency_is_half(self):
         rng = np.random.default_rng(5)
