@@ -1,19 +1,17 @@
 """sgdlab: stochastic optimization with CV-gated momentum roll-off, a secant
 hybrid for poor starts, and a deterministic benchmark harness."""
 
-from .diagnostics import CvEstimate, RolloffPolicy, beta_from_cv, estimate_cv, smooth_cv
+from .diagnostics import CvEstimate, RolloffPolicy, estimate_cv, smooth_cv
 from .errors import ConfigurationError, InsufficientDataError, TraceFormatError
-from .harness import (ExperimentConfig, RunSummary, TraceRecord, load_config,
-                      read_trace, run_experiment, run_grid, write_trace)
-from .optimizers import (AlphaSchedule, HybridRun, MomentumState, SecantState,
-                         StepSettings, SwitchPolicy, run_hybrid, step_momentum,
-                         step_secant, step_sgd)
+from .harness import (ExperimentConfig, HybridRun, RunSummary, TraceRecord,
+                      load_config, read_trace, run_experiment, run_grid,
+                      run_hybrid, write_trace)
+from .optimizers import (AlphaSchedule, SecantState, StepSettings, SwitchPolicy,
+                         step_momentum, step_secant, step_sgd)
 from .plots import emit_plots
 from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Minibatch,
                        Oracle, Problem, RademacherProblem, draw_minibatch,
-                       evaluate_minibatch, least_squares_problem,
-                       rademacher_cost, rademacher_grad, rademacher_oracle,
-                       rademacher_sample, synthetic_logistic_problem)
+                       evaluate_minibatch)
 from .verification import OracleReport, run_all as run_verification
 
 __version__ = "0.1.0"

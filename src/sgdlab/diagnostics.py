@@ -95,11 +95,6 @@ class RolloffPolicy:
                    self.beta_max * (self.cv_high - cv) / (self.cv_high - self.cv_low))
 
 
-def beta_from_cv(policy: RolloffPolicy, estimate: CvEstimate) -> float:
-    """Momentum coefficient for a minibatch CV estimate (invalid estimate -> SGD)."""
-    return policy.beta(estimate.cv if estimate.valid else None)
-
-
 def smooth_cv(history: Sequence[CvEstimate], window: int) -> float:
     """Median of the valid CV values among the last `window` estimates.
 

@@ -20,14 +20,15 @@ import yaml
 
 from .diagnostics import CvEstimate, RolloffPolicy, estimate_cv, smooth_cv
 from .errors import ConfigurationError, InsufficientDataError, TraceFormatError
-from .optimizers import (AlphaSchedule, MomentumState, SecantState, StepSettings,
-                         SwitchPolicy, DIVERGENCE_LIMIT, step_momentum, step_secant,
-                         step_sgd)
-from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Minibatch,
-                       Problem, RademacherProblem, SampleStream)
+from .optimizers import (AlphaSchedule, SecantState, StepSettings, SwitchPolicy,
+                         step_momentum, step_secant, step_sgd)
+from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Problem,
+                       RademacherProblem, SampleStream, _as_theta)
 # The run loop calls Problem.evaluate; these stay bound here because
 # perfbench's tracer wraps them at this module.
 from .problems import draw_minibatch, evaluate_minibatch  # noqa: F401
+
+DIVERGENCE_LIMIT = 1e12  # |theta| beyond this is reported as a run failure
 
 TRACE_HEADER = "epoch,iteration,true_risk,est_risk,cv_raw,cv_smoothed,alpha,beta,accuracy,theta_norm"
 
@@ -102,7 +103,9 @@ class ExperimentConfig:
         config.validate()
         return config
 
-    def validate(self) -> None:
+    def validate(self) -> Problem:
+        """Raise ConfigurationError for any invalid key; return the problem,
+        which is built to check the keys that depend on it."""
         if self.problem not in PROBLEM_NAMES:
             raise ConfigurationError(
                 f"unknown problem {self.problem!r}; expected one of {PROBLEM_NAMES}")
@@ -122,8 +125,6 @@ class ExperimentConfig:
                 f"{self.total_iterations()} iterations; the trace would be empty")
         if (self.theta0 is None) == (self.theta0_scale is None):
             raise ConfigurationError("exactly one of theta0 / theta0_scale is required")
-        if self.theta0 is not None:
-            self.theta0_values()
         for name in self._FLOAT_KEYS:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -133,9 +134,9 @@ class ExperimentConfig:
             if self.alpha is None or not float(self.alpha) > 0.0:
                 raise ConfigurationError(
                     f"optimizer {self.optimizer!r} needs a positive alpha")
-        if self.optimizer == "sgd" and (self.beta or self.beta_policy):
+        if self.optimizer != "momentum" and (self.beta or self.beta_policy):
             raise ConfigurationError(
-                "sgd takes no momentum settings; use optimizer: momentum")
+                f"{self.optimizer} takes no momentum settings; use optimizer: momentum")
         if self.optimizer == "momentum":
             if self.beta is None and self.beta_policy is None:
                 raise ConfigurationError("momentum needs 'beta' or 'beta_policy'")
@@ -144,9 +145,6 @@ class ExperimentConfig:
             if self.beta is not None and not 0.0 <= float(self.beta) < 1.0:
                 raise ConfigurationError(f"beta must be in [0, 1), got {self.beta}")
         if self.optimizer in ("secant", "hybrid"):
-            if self.problem != "rademacher" and self.dim != 1:
-                raise ConfigurationError(
-                    "secant/hybrid need a scalar problem (dim 1)")
             if self.k != 1:
                 raise ConfigurationError("secant/hybrid consume one sample per "
                                          f"iteration; k must be 1, got {self.k}")
@@ -156,8 +154,17 @@ class ExperimentConfig:
         # constructing these validates their own fields
         self.make_alpha_schedule()
         self.make_rolloff_policy()
-        if self.optimizer == "hybrid":
-            SwitchPolicy(kind=self.switch_kind, threshold=float(self.switch_threshold))
+        self.make_switch_policy()
+        problem = build_problem(self)
+        if self.optimizer in ("secant", "hybrid") and problem.dim != 1:
+            raise ConfigurationError(
+                f"secant/hybrid need a scalar problem, got dim {problem.dim}")
+        if self.theta0 is not None:
+            n = self.theta0_values().shape[0]
+            if n not in (1, problem.dim):
+                raise ConfigurationError(
+                    f"theta0 has {n} entries, problem needs {problem.dim}")
+        return problem
 
     def total_iterations(self) -> int:
         """ceil(epochs * epoch_size / k) fresh minibatches, or epochs passes of
@@ -189,6 +196,11 @@ class ExperimentConfig:
         return RolloffPolicy(kind=self.beta_policy, beta_max=float(self.beta_max),
                              cv_low=float(self.cv_low), cv_high=float(self.cv_high))
 
+    def make_switch_policy(self) -> Optional[SwitchPolicy]:
+        if self.optimizer != "hybrid":
+            return None
+        return SwitchPolicy(kind=self.switch_kind, threshold=float(self.switch_threshold))
+
 
 def load_config(path) -> ExperimentConfig:
     """Parse a flat YAML mapping into a validated ExperimentConfig."""
@@ -213,13 +225,8 @@ def initial_theta(config: ExperimentConfig, problem: Problem,
                   rng: np.random.Generator) -> np.ndarray:
     """Start point: explicit value(s), or scale * random unit vector (consumes rng)."""
     if config.theta0 is not None:
-        arr = config.theta0_values()
-        if arr.shape[0] == 1:
-            arr = np.full(problem.dim, arr[0])
-        if arr.shape[0] != problem.dim:
-            raise ConfigurationError(
-                f"theta0 has {arr.shape[0]} entries, problem needs {problem.dim}")
-        return arr
+        arr = config.theta0_values()  # validate() checked its length
+        return np.full(problem.dim, arr[0]) if arr.shape[0] == 1 else arr
     direction = rng.standard_normal(problem.dim)
     return float(config.theta0_scale) * direction / np.linalg.norm(direction)
 
@@ -255,9 +262,9 @@ class _CvTracker:
 
     For k >= 2 the raw estimate comes from the current minibatch; for k = 1
     it comes from a trailing buffer of recent per-sample costs. Estimates are
-    only computed when the roll-off policy needs them or a trace record is
-    due, so plain runs stay cheap; the smoothing window is over the computed
-    estimates, and only that window is kept.
+    only computed when the roll-off policy or the cv switch needs them or a
+    trace record is due, so plain runs stay cheap; the smoothing window is
+    over the computed estimates, and only that window is kept.
 
     The k = 1 buffer is an array of twice the buffer size in which cost i is
     written at i % size and i % size + size, so the last n costs are always
@@ -265,7 +272,6 @@ class _CvTracker:
     """
 
     def __init__(self, k: int, window: int, buffer_size: int):
-        self.k = k
         self.window = window
         self.size = buffer_size
         self.ring = np.empty(2 * buffer_size) if k < 2 else None
@@ -306,6 +312,92 @@ class _CvTracker:
             return None
 
 
+def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
+              schedule: Optional[AlphaSchedule], n_iterations: int, *, k: int = 1,
+              beta: Optional[float] = None, policy: Optional[RolloffPolicy] = None,
+              secant: bool = False, switch: Optional[SwitchPolicy] = None,
+              cv_every: Optional[int] = None, cv_window: int = 10, cv_buffer: int = 100,
+              next_samples=None):
+    """The one run loop, behind `run_experiment` and `run_hybrid`.
+
+    With `secant`, secant steps until `switch` fires (never when it is None),
+    then SGD on `schedule` with its index restarted at 1; momentum when
+    `beta` or a roll-off `policy` is given. CV estimates are computed when
+    the policy, the cv switch or every `cv_every`-th iteration needs one.
+    Samples come from `next_samples()`, by default a `SampleStream` sized to
+    the run. Yields (iteration, theta, samples consumed, costs, risk, cv_raw,
+    cv_smoothed, alpha, beta, in_secant, diverged) per iterate; theta0 and the
+    secant phase's free second point come first, as iteration 0. `in_secant`
+    is the next step's phase; a diverged iterate is the last one yielded.
+    """
+    oracle_risk = problem.oracle.true_risk
+    tracker = _CvTracker(k, cv_window, cv_buffer)
+    policy_driven = policy is not None and policy.kind != "constant"
+    cv_switch = switch is not None and switch.kind == "cv"
+    v = np.zeros(problem.dim)
+    samples = 0
+    sgd_iter = 0
+
+    # the switch is checked on theta0 and on the free second start point
+    # before any sample is spent, so an immediate switch is a pure SGD run
+    in_secant = secant and not (switch is not None and switch.fires(float(theta[0]), None))
+    yield 0, theta, 0, None, None, None, None, 0.0, 0.0, in_secant, False
+    if in_secant:
+        start = float(theta[0])
+        second = start / 2.0 if start != 0.0 else 1.0
+        theta = np.array([second])
+        in_secant = switch is None or not switch.fires(second, None)
+        yield 0, theta, 0, None, None, None, None, 0.0, 0.0, in_secant, False
+    if next_samples is None:
+        # a secant phase first spends one sample on the gradient at theta0
+        next_samples = SampleStream(problem, rng, k, n_iterations + int(in_secant)).draw
+    if in_secant:
+        init_costs, init_grad = problem.evaluate(np.array([start]), next_samples())
+        samples += 1
+        tracker.observe(init_costs)
+        secant_state = SecantState(theta_prev2=start, theta_prev1=second,
+                                   grad_prev2=float(init_grad[0]))
+
+    for iteration in range(1, n_iterations + 1):
+        costs, grad = problem.evaluate(theta, next_samples())
+        samples += costs.shape[0]
+        tracker.observe(costs)
+        cv_due = (cv_switch if in_secant else policy_driven) or (
+            cv_every is not None and iteration % cv_every == 0)
+        cv_raw, cv_smoothed = tracker.compute() if cv_due else (None, None)
+        if in_secant:
+            alpha_i = beta_i = 0.0
+            try:
+                theta_scalar, secant_state = step_secant(secant_state, float(grad[0]))
+            except ConfigurationError:  # the step left the finite floats
+                theta_scalar = math.nan
+            theta = np.array([theta_scalar])
+        else:
+            sgd_iter += 1
+            alpha_i = schedule.alpha(sgd_iter)
+            if beta is not None or policy is not None:
+                beta_i = policy.beta(cv_smoothed) if policy is not None else beta
+                theta, v = step_momentum(theta, v, grad, StepSettings(alpha_i, beta_i))
+            else:
+                beta_i = 0.0
+                theta = step_sgd(theta, grad, alpha_i)
+
+        # --- divergence guard, one rule for both phases ---
+        # the max is NaN when theta holds one, and NaN <= limit is False; the
+        # risk oracle only sees iterates within the limit, whose squares are finite
+        risk = None
+        diverged = not float(np.abs(theta).max()) <= DIVERGENCE_LIMIT
+        if oracle_risk is not None and not diverged:
+            risk = float(oracle_risk(theta))
+            diverged = not math.isfinite(risk)
+        if in_secant and switch is not None and not diverged:
+            in_secant = not switch.fires(float(theta[0]), cv_raw if cv_switch else None)
+        yield (iteration, theta, samples, costs, risk, cv_raw, cv_smoothed,
+               alpha_i, beta_i, in_secant, diverged)
+        if diverged:
+            return
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSummary]:
     """Run one seeded experiment, returning its trace records and summary.
 
@@ -315,129 +407,51 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
     Fresh samples are drawn in blocks where that yields the same samples
     (rademacher, noiseless least squares; see `Problem.block_draws`) and once
     per minibatch otherwise; the draw order and the traces are the same
-    either way. theta is validated once, on entry (`initial_theta`,
-    `SecantState`); the loop evaluates the problem on it directly.
+    either way. theta is validated once, with the config; the loop evaluates
+    the problem on it directly.
     """
-    config.validate()
-    problem = build_problem(config)
-    if config.optimizer in ("secant", "hybrid") and problem.dim != 1:
-        raise ConfigurationError("secant/hybrid need a scalar problem")
+    problem = config.validate()
     rng = np.random.default_rng(config.seed)
     theta = initial_theta(config, problem, rng)
-
-    alpha_sched = config.make_alpha_schedule()
-    policy = config.make_rolloff_policy()
-    policy_driven = policy is not None and policy.kind != "constant"
-    momentum = config.optimizer == "momentum"
     k = int(config.k)
     eval_every = int(config.eval_every)
 
-    total_iterations = config.total_iterations()
-    finite = config.train_size is not None
-    if finite:
-        train_size = int(config.train_size)
+    next_samples = None
+    if config.train_size is not None:
+        train_size = epoch_denom = int(config.train_size)
         train = problem.sample(rng, train_size)
-        epoch_denom = train_size
+
+        def epoch_batches():
+            for _ in range(int(config.epochs)):
+                perm = rng.permutation(train_size)
+                for start in range(0, train_size, k):
+                    yield problem.subset(train, perm[start:start + k])
+
+        next_samples = epoch_batches().__next__
     else:
         epoch_denom = int(config.epoch_size)
 
     has_test_set = isinstance(problem, LogisticBlobsProblem)
-    evaluate = problem.evaluate
-    oracle_risk = problem.oracle.true_risk
     min_risk = problem.oracle.min_risk if problem.oracle.min_risk is not None else 0.0
-
-    tracker = _CvTracker(k, int(config.cv_window), int(config.cv_buffer))
-    mom_state = MomentumState.initial(problem.dim)
     records: list[TraceRecord] = []
-    samples_consumed = 0
-    diverged = False
     best_risk: Optional[float] = None
     final_accuracy: Optional[float] = None
     iters_to_threshold: Optional[int] = None
     last_record_epoch: Optional[int] = None
-    sgd_iter = 0  # schedule index; restarts when hybrid leaves the secant phase
 
-    # secant bookkeeping; init mirrors optimizers.run_hybrid: the switch is
-    # checked on theta0 and on the free second start point before any sample
-    # is spent, so an immediate switch reproduces a pure SGD run exactly.
-    in_secant = config.optimizer in ("secant", "hybrid")
-    switch = (SwitchPolicy(kind=config.switch_kind, threshold=float(config.switch_threshold))
-              if config.optimizer == "hybrid" else None)
-    cv_switch = switch is not None and switch.kind == "cv"
-    secant_state: Optional[SecantState] = None
-    if in_secant:
-        current = float(theta[0])
-        if switch is not None and switch.fires(current, None):
-            in_secant = False
-        else:
-            second = current / 2.0 if current != 0.0 else 1.0
-            theta = np.array([second])
-            if switch is not None and switch.fires(second, None):
-                in_secant = False
-
-    # a secant phase first spends one sample on the gradient at theta0
-    stream = (None if finite
-              else SampleStream(problem, rng, k, total_iterations + int(in_secant)))
-    if in_secant:
-        init_costs, init_grad = evaluate(np.array([current]), stream.draw())
-        samples_consumed += 1
-        tracker.observe(init_costs)
-        secant_state = SecantState(theta_prev2=current, theta_prev1=second,
-                                   grad_prev2=float(init_grad[0]))
-
-    def epoch_batches():
-        for _ in range(int(config.epochs)):
-            perm = rng.permutation(train_size)
-            for start in range(0, train_size, k):
-                yield problem.subset(train, perm[start:start + k])
-
-    next_samples = epoch_batches().__next__ if finite else stream.draw
-
-    for iteration in range(1, total_iterations + 1):
+    run = _run_loop(
+        problem, theta, rng, config.make_alpha_schedule(), config.total_iterations(),
+        k=k, beta=config.beta if config.optimizer == "momentum" else None,
+        policy=config.make_rolloff_policy(),
+        secant=config.optimizer in ("secant", "hybrid"),
+        switch=config.make_switch_policy(), cv_every=eval_every,
+        cv_window=int(config.cv_window), cv_buffer=int(config.cv_buffer),
+        next_samples=next_samples)
+    for (iteration, theta, samples_consumed, costs, risk, cv_raw, cv_smoothed,
+         alpha_i, beta_i, _, diverged) in run:
+        if iteration == 0 or diverged:
+            continue
         record_due = iteration % eval_every == 0
-        # --- step ---
-        if in_secant:
-            # theta is [secant_state.theta_prev1]
-            costs, grad = evaluate(theta, next_samples())
-            samples_consumed += 1
-            theta_scalar, secant_state = step_secant(secant_state, float(grad[0]))
-            theta = np.array([theta_scalar])
-            alpha_i, beta_i = 0.0, 0.0
-            tracker.observe(costs)
-            cv_raw, cv_smoothed = (tracker.compute() if cv_switch or record_due
-                                   else (None, None))
-        else:
-            samples = next_samples()
-            costs, grad = evaluate(theta, samples)
-            batch = Minibatch(samples=samples, costs=costs, mean_gradient=grad)
-            samples_consumed += costs.shape[0]
-            tracker.observe(costs)
-            cv_raw, cv_smoothed = (tracker.compute() if policy_driven or record_due
-                                   else (None, None))
-            sgd_iter += 1
-            alpha_i = alpha_sched.alpha(sgd_iter)
-            if momentum:
-                beta_i = (policy.beta(cv_smoothed) if policy is not None
-                          else float(config.beta))
-                theta, mom_state = step_momentum(
-                    theta, mom_state, batch, StepSettings(alpha_i, beta_i))
-            else:
-                beta_i = 0.0
-                theta = step_sgd(theta, batch, alpha_i)
-
-        # --- divergence guard ---
-        # the max is NaN when theta holds one, and NaN <= limit is False
-        risk = float(oracle_risk(theta)) if oracle_risk is not None else None
-        if not (float(np.abs(theta).max()) <= DIVERGENCE_LIMIT
-                and (risk is None or math.isfinite(risk))):
-            diverged = True
-            break
-
-        # --- hybrid switch ---
-        if in_secant and switch is not None:
-            cv_for_switch = cv_raw if cv_switch else None
-            if switch.fires(float(theta[0]), cv_for_switch):
-                in_secant = False
 
         # --- tracking ---
         # sum / n is how np.mean reduces, without its per-call overhead
@@ -480,13 +494,59 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
         final_risk=final_risk,
         best_risk=best_risk,
         samples=samples_consumed,
-        iterations=iteration if total_iterations else 0,
+        iterations=iteration,
         diverged=diverged,
         final_theta=theta,
         final_accuracy=final_accuracy,
         iters_to_threshold=iters_to_threshold,
     )
     return records, summary
+
+
+@dataclass(frozen=True)
+class HybridRun:
+    """Every iterate visited, the cumulative sample count when it became
+    current, and where (if anywhere) the SGD phase took over."""
+
+    iterates: np.ndarray
+    samples: np.ndarray
+    switch_index: Optional[int]
+    diverged: bool = False
+
+
+def run_hybrid(problem: Problem, theta0: float, switch_policy: SwitchPolicy,
+               sgd_schedule: AlphaSchedule, rng: np.random.Generator,
+               max_iterations: int, stop_radius: Optional[float] = None) -> HybridRun:
+    """Secant steps until the switch policy fires, then single-sample SGD: the
+    `hybrid` optimizer's run loop, returning every iterate.
+
+    Scalar problems only. The secant phase consumes one fresh sample per
+    iteration (plus one for the gradient at theta0); the SGD phase restarts
+    its schedule index at 1. The second secant start point is theta0 / 2
+    (or 1.0 when theta0 == 0), so the initial bracket is wide for poor starts;
+    a switch that fires on theta0 makes the run pure SGD. The cv switch
+    reads the CV of the trailing 100 costs, the `cv_buffer` default. A run
+    that does not diverge leaves `rng` where one draw per sample would. With
+    `stop_radius` the run ends at its first iterate with |theta| <=
+    stop_radius, theta0 included, and draws one sample per step, never one
+    it does not use.
+    """
+    if problem.dim != 1:
+        raise ConfigurationError("hybrid/secant runs need a scalar problem")
+    if max_iterations < 0:
+        raise ConfigurationError(f"max_iterations must be >= 0, got {max_iterations}")
+    per_step = None if stop_radius is None else (lambda: problem.sample(rng, 1))
+    log = []  # (iterate, samples consumed, in the secant phase after it)
+    for _, theta, n, *_, in_secant, diverged in _run_loop(
+            problem, _as_theta(theta0, problem.dim), rng, sgd_schedule, max_iterations,
+            secant=True, switch=switch_policy, next_samples=per_step):
+        log.append((float(theta[0]), n, in_secant))
+        if stop_radius is not None and abs(log[-1][0]) <= stop_radius:
+            break
+    iterates, samples, phases = zip(*log)
+    return HybridRun(iterates=np.array(iterates), samples=np.array(samples),
+                     switch_index=next((i for i, s in enumerate(phases) if not s), None),
+                     diverged=diverged)
 
 
 # ---------------------------------------------------------------------------

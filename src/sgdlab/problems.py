@@ -41,10 +41,6 @@ class Minibatch:
     costs: Array
     mean_gradient: Array
 
-    @property
-    def k(self) -> int:
-        return int(self.costs.shape[0])
-
 
 class Problem:
     """Base for stochastic objectives. Immutable after construction; sampling
@@ -70,14 +66,11 @@ class Problem:
 
     def costs(self, theta: Array, samples) -> Array:
         """Per-sample costs c(theta, x_j), shape (n,)."""
-        raise NotImplementedError
+        return self.evaluate(theta, samples)[0]
 
     def mean_gradient(self, theta: Array, samples) -> Array:
         """Arithmetic mean of the per-sample gradients at theta, shape (dim,)."""
-        raise NotImplementedError
-
-    def n_samples(self, samples) -> int:
-        raise NotImplementedError
+        return self.evaluate(theta, samples)[1]
 
     def subset(self, samples, idx):
         """Select samples by integer index array / slice (for epoch shuffling)."""
@@ -158,38 +151,11 @@ class SampleStream:
 #   CV(theta)   = 2|theta| / (theta^2 + 1)
 # ---------------------------------------------------------------------------
 
-def rademacher_sample(rng: np.random.Generator) -> float:
-    """One draw of the symmetric +/-1 variable; deterministic given seed and draw index."""
-    return float(rng.integers(0, 2) * 2 - 1)
-
-
 def _scalar(theta) -> float:
     t = np.asarray(theta, dtype=float).reshape(-1)
     if t.shape[0] != 1:
         raise ConfigurationError(f"expected a scalar parameter, got shape {t.shape}")
     return float(t[0])
-
-
-def rademacher_cost(theta, x: float) -> float:
-    """(theta - x)^2 for a single sample."""
-    t = _scalar(theta)
-    return (t - x) ** 2
-
-
-def rademacher_grad(theta, x: float) -> Array:
-    """d/dtheta (theta - x)^2 = 2(theta - x)."""
-    t = _scalar(theta)
-    return np.array([2.0 * (t - x)])
-
-
-def rademacher_oracle() -> Oracle:
-    """Closed forms: risk theta^2+1, std 2|theta|, CV 2|theta|/(theta^2+1), minimum 1 at 0."""
-    return Oracle(
-        true_risk=lambda th: _scalar(th) ** 2 + 1.0,
-        true_cv=lambda th: 2.0 * abs(_scalar(th)) / (_scalar(th) ** 2 + 1.0),
-        minimizer=np.array([0.0]),
-        min_risk=1.0,
-    )
 
 
 class RademacherProblem(Problem):
@@ -200,24 +166,28 @@ class RademacherProblem(Problem):
     block_draws = True  # one integers() fill, consumed in draw order
 
     def __init__(self):
-        self.oracle = rademacher_oracle()
+        self.oracle = Oracle(
+            true_risk=lambda th: _scalar(th) ** 2 + 1.0,
+            true_cv=lambda th: 2.0 * abs(_scalar(th)) / (_scalar(th) ** 2 + 1.0),
+            minimizer=np.array([0.0]),
+            min_risk=1.0,
+        )
 
     def sample(self, rng: np.random.Generator, n: int) -> Array:
-        return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+        return rng.integers(0, 2, size=n) * 2.0 - 1.0  # int64 * float is float64
 
     def evaluate(self, theta: Array, samples: Array) -> tuple[Array, Array]:
         d = theta[0] - samples
         # sum / n is how np.mean reduces, without its per-call overhead
         return d * d, np.array([float((2.0 * d).sum()) / d.shape[0]])
 
+    # costs and mean_gradient repeat Problem's, here and on LeastSquaresProblem,
+    # because perfbench's tracer wraps them on each class
     def costs(self, theta: Array, samples: Array) -> Array:
         return self.evaluate(theta, samples)[0]
 
     def mean_gradient(self, theta: Array, samples: Array) -> Array:
         return self.evaluate(theta, samples)[1]
-
-    def n_samples(self, samples: Array) -> int:
-        return int(samples.shape[0])
 
     def subset(self, samples: Array, idx) -> Array:
         return samples[idx]
@@ -257,7 +227,7 @@ class LeastSquaresProblem(Problem):
         self.w_star = rng.standard_normal(self.dim)
         self._feature_scale = np.sqrt(self.eigenvalues)
         self.oracle = Oracle(
-            true_risk=self._risk,
+            true_risk=self._residual_var,
             true_cv=self._cv,
             minimizer=self.w_star.copy(),
             min_risk=self.noise_std ** 2,
@@ -267,13 +237,10 @@ class LeastSquaresProblem(Problem):
         delta = np.asarray(theta, dtype=float).reshape(-1) - self.w_star
         return float(np.dot(self.eigenvalues, delta * delta) + self.noise_std ** 2)
 
-    def _risk(self, theta) -> float:
-        return self._residual_var(np.asarray(theta, dtype=float).reshape(-1))
-
     def _cv(self, theta) -> float:
         # residual is Gaussian, so the cost is s^2 * chi^2_1: CV = sqrt(2)
         # wherever the residual variance is positive.
-        if self._residual_var(np.asarray(theta, dtype=float).reshape(-1)) == 0.0:
+        if self._residual_var(theta) == 0.0:
             return 0.0
         return float(np.sqrt(2.0))
 
@@ -312,17 +279,9 @@ class LeastSquaresProblem(Problem):
         features = block[0][start:stop]
         return features, features @ self.w_star
 
-    def n_samples(self, samples) -> int:
-        return int(samples[0].shape[0])
-
     def subset(self, samples, idx):
         features, targets = samples
         return features[idx], targets[idx]
-
-
-def least_squares_problem(dim: int, condition_number: float, noise_std: float,
-                          seed: int) -> LeastSquaresProblem:
-    return LeastSquaresProblem(dim, condition_number, noise_std, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +312,8 @@ class LogisticBlobsProblem(Problem):
             raise ConfigurationError(f"n_classes must be >= 2, got {n_classes}")
         if separation < 0.0:
             raise ConfigurationError(f"separation must be >= 0, got {separation}")
+        if test_per_class < 1:
+            raise ConfigurationError(f"test_per_class must be >= 1, got {test_per_class}")
         self.n_features = int(dim)
         self.n_classes = int(n_classes)
         self.separation = float(separation)
@@ -396,15 +357,6 @@ class LogisticBlobsProblem(Problem):
         grad_b = probs.mean(axis=0)
         return costs, np.concatenate([grad_w.ravel(), grad_b])
 
-    def costs(self, theta: Array, samples) -> Array:
-        return self.evaluate(theta, samples)[0]
-
-    def mean_gradient(self, theta: Array, samples) -> Array:
-        return self.evaluate(theta, samples)[1]
-
-    def n_samples(self, samples) -> int:
-        return int(samples[1].shape[0])
-
     def subset(self, samples, idx):
         features, labels = samples
         return features[idx], labels[idx]
@@ -417,8 +369,3 @@ class LogisticBlobsProblem(Problem):
         mean_cost = float(-lp[np.arange(labels.shape[0]), labels].mean())
         accuracy = float((lp.argmax(axis=1) == labels).mean())
         return mean_cost, accuracy
-
-
-def synthetic_logistic_problem(dim: int, n_classes: int, separation: float,
-                               seed: int, test_per_class: int = 500) -> LogisticBlobsProblem:
-    return LogisticBlobsProblem(dim, n_classes, separation, seed, test_per_class)

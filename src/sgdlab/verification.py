@@ -17,12 +17,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .optimizers import AlphaSchedule, SecantState, SwitchPolicy, run_hybrid, step_secant
+from .harness import run_hybrid
+from .optimizers import AlphaSchedule, SecantState, SwitchPolicy, step_secant
 from .problems import RademacherProblem
 
 DEFAULT_SEED = 20240817
-
-COMPARISONS = ("within", "at_least", "below")
 
 # Long-run secant trials stepped together; bounds the draws held at once.
 LONG_RUN_BLOCK = 128
@@ -222,26 +221,31 @@ def verify_minibatch_scaling(theta: float = 2.0, ks: Sequence[int] = (1, 10, 100
     return reports
 
 
+def _samples_to_unit_ball(theta0: float, rng: np.random.Generator,
+                          switch_threshold: float, max_iterations: int,
+                          coefficient: float) -> Optional[int]:
+    """Samples a hybrid run with a 1/t SGD rate spends before |theta| <= 1;
+    None when it runs out of iterations or diverges to a finite |theta|
+    first. A run that overflowed has no count."""
+    run = run_hybrid(RademacherProblem(), theta0,
+                     SwitchPolicy(kind="abs_theta", threshold=switch_threshold),
+                     AlphaSchedule(kind="inverse_t", value=coefficient), rng,
+                     max_iterations, stop_radius=1.0)
+    if run.diverged and not math.isfinite(run.iterates[-1]):
+        raise ConfigurationError("parameter vector has non-finite entries")
+    return int(run.samples[-1]) if abs(run.iterates[-1]) <= 1.0 else None
+
+
 def sgd_samples_to_unit_ball(theta0: float, rng: np.random.Generator,
                              max_samples: int = 10 ** 5,
                              coefficient: float = 0.5) -> Optional[int]:
     """Samples a 1/t-rate SGD run needs before |theta| <= 1, single-sample batches.
 
-    The run stops as soon as it reaches the ball, so it draws one sample per
-    step rather than a block it might not spend.
+    It is a hybrid run whose switch fires on any finite theta0, so the secant
+    phase is skipped from the start.
     """
-    problem = RademacherProblem()
-    schedule = AlphaSchedule(kind="inverse_t", value=coefficient)
-    theta = float(theta0)
-    for i in range(1, max_samples + 1):
-        if not math.isfinite(theta):
-            raise ConfigurationError("parameter vector has non-finite entries")
-        _, grad = problem.evaluate(np.array([theta]), problem.sample(rng, 1))
-        # step_sgd's update, on the scalar
-        theta = theta - schedule.alpha(i) * float(grad[0])
-        if abs(theta) <= 1.0:
-            return i
-    return None
+    return _samples_to_unit_ball(theta0, rng, np.finfo(float).max, max_samples,
+                                 coefficient)
 
 
 def hybrid_samples_to_unit_ball(theta0: float, rng: np.random.Generator,
@@ -252,14 +256,7 @@ def hybrid_samples_to_unit_ball(theta0: float, rng: np.random.Generator,
     Reaching the unit ball coincides with the |theta| <= 1 switch firing, so a
     couple hundred iterations is a generous cap for any poor start.
     """
-    run = run_hybrid(RademacherProblem(), theta0,
-                     SwitchPolicy(kind="abs_theta", threshold=1.0),
-                     AlphaSchedule(kind="inverse_t", value=coefficient),
-                     rng, max_iterations)
-    inside = np.abs(run.iterates) <= 1.0
-    if not inside.any():
-        return None
-    return int(run.samples[int(np.argmax(inside))])
+    return _samples_to_unit_ball(theta0, rng, 1.0, max_iterations, coefficient)
 
 
 def verify_hybrid_advantage(theta0: float = 1e4, n_seeds: int = 100,

@@ -14,9 +14,9 @@ import pytest
 from quadratic_oracle import quadratic_iters_to_gap
 from sgdlab.harness import (ExperimentConfig, load_config, read_trace,
                             run_experiment, write_trace)
-from sgdlab.optimizers import MomentumState, SecantState, StepSettings, \
-    step_momentum, step_secant, step_sgd
-from sgdlab.problems import Minibatch, least_squares_problem
+from sgdlab.optimizers import SecantState, StepSettings, step_momentum, \
+    step_secant, step_sgd
+from sgdlab.problems import LeastSquaresProblem
 from sgdlab.verification import (DEFAULT_SEED, hybrid_samples_to_unit_ball,
                                  sgd_samples_to_unit_ball, verify_cv_formula,
                                  verify_hybrid_advantage,
@@ -123,16 +123,14 @@ def test_criterion_5_optimizer_equivalence(tmp_path):
 def _iters_via_steps(problem, theta0, alpha, beta, gap_target, cap):
     """Official iteration count through the step functions on the exact risk."""
     theta = np.asarray(theta0, dtype=float)
-    state = MomentumState.initial(problem.dim)
+    v = np.zeros(problem.dim)
     min_risk = problem.oracle.min_risk
     for it in range(1, cap + 1):
-        batch = Minibatch(samples=None, costs=np.zeros(1),
-                          mean_gradient=problem.risk_gradient(theta))
+        g = problem.risk_gradient(theta)
         if beta == 0.0:
-            theta = step_sgd(theta, batch, alpha)
+            theta = step_sgd(theta, g, alpha)
         else:
-            theta, state = step_momentum(theta, state, batch,
-                                         StepSettings(alpha, beta))
+            theta, v = step_momentum(theta, v, g, StepSettings(alpha, beta))
         if problem.oracle.true_risk(theta) - min_risk <= gap_target:
             return it
     return None
@@ -140,7 +138,7 @@ def _iters_via_steps(problem, theta0, alpha, beta, gap_target, cap):
 
 def test_criterion_6_deterministic_acceleration():
     start = time.perf_counter()
-    problem = least_squares_problem(10, 1000.0, 0.0, seed=61)
+    problem = LeastSquaresProblem(10, 1000.0, 0.0, seed=61)
     theta0 = problem.w_star + 1.0  # unit offset per coordinate
     lam = problem.eigenvalues
     gap = 1e-6

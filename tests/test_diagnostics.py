@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sgdlab.diagnostics import (POLICY_KINDS, CvEstimate, RolloffPolicy, beta_from_cv,
+from sgdlab.diagnostics import (POLICY_KINDS, CvEstimate, RolloffPolicy,
                                 estimate_cv, smooth_cv)
 from sgdlab.errors import ConfigurationError, InsufficientDataError
 from sgdlab.problems import RademacherProblem
@@ -112,7 +112,7 @@ class TestRolloffPolicy:
     def test_invalid_estimate_falls_back_to_sgd(self):
         est = estimate_cv([-1.0, 1.0])
         for kind in ("cv_threshold", "cv_linear"):
-            assert beta_from_cv(RolloffPolicy(kind=kind), est) == 0.0
+            assert RolloffPolicy(kind=kind).beta(est.cv if est.valid else None) == 0.0
 
     @pytest.mark.parametrize("kind", ["constant", "cv_threshold", "cv_linear"])
     def test_monotone_and_bounded(self, kind):

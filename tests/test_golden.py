@@ -1,5 +1,6 @@
 """Golden outputs: the SHA-256 of the trace each checked-in config writes,
-of a small grid's summary.csv and of the `sgdlab verify --quick` report, and
+of cv-switch hybrid traces, of a small grid's summary.csv, of the `sgdlab
+verify --quick` report and of the per-seed samples-to-unit-ball counts, and
 the default-size secant-absorption claims.
 
 A change that alters any output byte (draw order, evaluation order, float
@@ -9,12 +10,14 @@ formatting, CV bookkeeping) fails here. Re-pin only with a stated reason.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sgdlab.cli import main as cli_main
 from sgdlab.harness import (ExperimentConfig, load_config, run_experiment, run_grid,
                             write_trace)
-from sgdlab.verification import DEFAULT_SEED, verify_secant_absorption
+from sgdlab.verification import (DEFAULT_SEED, hybrid_samples_to_unit_ball,
+                                 sgd_samples_to_unit_ball, verify_secant_absorption)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -35,6 +38,41 @@ NOISY_LEAST_SQUARES = dict(
     alpha=0.01, epochs=2, epoch_size=400, eval_every=5, seed=21)
 NOISY_LEAST_SQUARES_SHA256 = "f1eb47ad647c10a2b8e381ee3f80c0dd86a1d7771ddc7d9f0fee54585d3f0b2a"
 
+
+# Hybrid runs whose switch reads the trailing-cost CV, at the default
+# cv_buffer; the checked-in hybrid config switches on |theta| instead.
+# Threshold 0.9 fires after 2 secant steps, 5.0 after 37. Recorded before
+# run_experiment's hybrid loop and run_hybrid's became one.
+CV_HYBRID = dict(
+    problem="rademacher", theta0=10000.0, optimizer="hybrid", switch_kind="cv",
+    k=1, alpha=0.5, alpha_schedule="inverse_t", epochs=1, epoch_size=500,
+    eval_every=1)
+CV_HYBRID_SHA256 = {
+    (0.9, 0): "8855081e950a7ca797e831c4fcf325703297f94cb7c7940d0a7f5f9d18d590e1",
+    (0.9, 1): "cfe0b16a6e9647c7731eb0401ff51278de5fd26006a416439cd65f9951b5e1c0",
+    (0.9, 2): "9ba61ef6df134604ac511c6869ed1b1669ee1a9795f9b5d90cc3fec1749301e8",
+    (5.0, 0): "19273ac1d015184c3336bc35dfe7b5a227fcacb8c1da92bab870bf60d494953b",
+    (5.0, 1): "2481321fb2acfc20590262d496d13c7d43c941c1bc2a3a6b957ffd8a1048301a",
+    (5.0, 2): "e30af9de21eefe7bc5d01defaf6229b2d3573d18b83d01aebb8d5fa953434651",
+}
+
+# Per-seed samples to |theta| <= 1 from theta0 = 1e4 over the first 20 of
+# acceptance criterion 7's streams, as the SHA-256 of the repr of the count
+# list: (hybrid, pure SGD) at each 1/t coefficient c. The hybrid reaches the
+# ball in its secant phase, so its counts do not depend on c. Recorded from
+# the two hand-written loops these counts ran on before the harness loop.
+UNIT_BALL_SEEDS = 20
+HYBRID_COUNTS_SHA256 = "21977cba5a491d561c2da887dab1332f4aa0e489077638f488cbb60e6adacc39"
+UNIT_BALL_COUNTS_SHA256 = {
+    0.5: (HYBRID_COUNTS_SHA256,
+          "c4d2dce18fe96ce034d9a7ad851d1d0075fba70b4d42aea11e66624a08fbf15d"),
+    0.45: (HYBRID_COUNTS_SHA256,
+           "98b3fcd50c0108c27a0aa2ac0f1d5f1440c04dd586bad7576cf6b9e1d2f11418"),
+    0.75: (HYBRID_COUNTS_SHA256,
+           "3f67242afcf5b8e8d31eedb4a16cda7791801870fad35249dece4ac73129fc1c"),
+    1.25: (HYBRID_COUNTS_SHA256,
+           "1f8b2723821dfead7a64cdc3ab57b8870028ef6bdd3810c54785209148d0b4e0"),
+}
 
 # A 2x2x2 grid (momenta x learning rates x seeds) on a small noiseless
 # least-squares base: per-cell medians, divergence counts and the
@@ -82,6 +120,28 @@ def test_config_trace_hash(name, tmp_path):
 def test_noisy_least_squares_trace_hash(tmp_path):
     config = ExperimentConfig.from_dict(NOISY_LEAST_SQUARES)
     assert trace_sha256(config, tmp_path / "trace.csv") == NOISY_LEAST_SQUARES_SHA256
+
+
+@pytest.mark.parametrize("threshold,seed", sorted(CV_HYBRID_SHA256))
+def test_cv_switch_hybrid_trace_hash(threshold, seed, tmp_path):
+    config = ExperimentConfig.from_dict(
+        {**CV_HYBRID, "switch_threshold": threshold, "seed": seed})
+    assert trace_sha256(config, tmp_path / "trace.csv") == CV_HYBRID_SHA256[threshold, seed]
+
+
+@pytest.mark.parametrize("coefficient", sorted(UNIT_BALL_COUNTS_SHA256))
+def test_unit_ball_counts_hash(coefficient):
+    streams = np.random.SeedSequence(DEFAULT_SEED).spawn(100)[:UNIT_BALL_SEEDS]
+    hybrid, sgd = [], []
+    for stream in streams:
+        child_h, child_s = stream.spawn(2)
+        hybrid.append(hybrid_samples_to_unit_ball(
+            1e4, np.random.default_rng(child_h), coefficient=coefficient))
+        sgd.append(sgd_samples_to_unit_ball(
+            1e4, np.random.default_rng(child_s), coefficient=coefficient))
+    digests = tuple(hashlib.sha256(repr(counts).encode()).hexdigest()
+                    for counts in (hybrid, sgd))
+    assert digests == UNIT_BALL_COUNTS_SHA256[coefficient]
 
 
 def test_grid_summary_hash(tmp_path):

@@ -12,8 +12,8 @@ from sgdlab.errors import ConfigurationError
 from sgdlab.diagnostics import estimate_cv
 from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, TraceRecord, _CvTracker,
                             build_problem, load_config, read_trace,
-                            run_experiment, run_grid, write_trace)
-from sgdlab.optimizers import AlphaSchedule, SwitchPolicy, run_hybrid
+                            run_experiment, run_grid, run_hybrid, write_trace)
+from sgdlab.optimizers import AlphaSchedule, SwitchPolicy
 from sgdlab.problems import (BLOCK_COORDINATES, LeastSquaresProblem,
                              RademacherProblem, SampleStream)
 
@@ -62,6 +62,16 @@ class TestConfigValidation:
         # finite mode: 2 epochs of ceil(10 / 3) = 4 minibatches
         (dict(problem="least_squares", dim=2, train_size=10, k=3, epochs=2,
               eval_every=9), "exceeds the run's 8 iterations"),
+        # an empty held-out set made NaN accuracy; a negative one a ValueError
+        (dict(problem="logistic", dim=2, test_per_class=0), "test_per_class must be >= 1"),
+        (dict(problem="logistic", dim=2, test_per_class=-3), "test_per_class must be >= 1"),
+        # logistic parameters number n_classes * (dim + 1) = 8, not dim
+        (dict(problem="logistic", dim=1, optimizer="secant", alpha=None),
+         "scalar problem, got dim 8"),
+        (dict(problem="least_squares", dim=4, theta0=[1.0, 2.0]),
+         "theta0 has 2 entries, problem needs 4"),
+        (dict(optimizer="hybrid", alpha_schedule="inverse_t", beta_policy="cv_linear"),
+         "hybrid takes no momentum"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,
@@ -77,12 +87,12 @@ class TestConfigValidation:
                 k=1, epochs=1, epoch_size=50, seed=0))
 
     def test_theta0_dimension_check(self):
-        cfg = ExperimentConfig.from_dict(dict(
-            problem="least_squares", dim=4, condition_number=10.0,
-            theta0=[1.0, 2.0], optimizer="sgd", alpha=0.01,
-            epochs=1, epoch_size=50, seed=0))
+        # checked when the config loads, not when the run starts
         with pytest.raises(ConfigurationError, match="entries"):
-            run_experiment(cfg)
+            ExperimentConfig.from_dict(dict(
+                problem="least_squares", dim=4, condition_number=10.0,
+                theta0=[1.0, 2.0], optimizer="sgd", alpha=0.01,
+                epochs=1, epoch_size=50, seed=0))
 
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -316,6 +326,41 @@ class TestHybridRun:
         assert alphas[first_sgd] == 0.5
         assert abs(summary.final_theta[0]) < 1.0
 
+    def test_secant_overflow_is_a_divergence(self):
+        # the second start point is 5e307 and the gradient at theta0
+        # overflows, so the first secant step is not finite
+        run = run_hybrid(RademacherProblem(), 1e308, SwitchPolicy("abs_theta", 0.0),
+                         AlphaSchedule(kind="inverse_t", value=0.5),
+                         np.random.default_rng(0), 50)
+        assert run.diverged
+        assert np.isnan(run.iterates[-1]) and len(run.iterates) == 3
+        records, summary = run_experiment(make_config(theta0=1.0e308, optimizer="secant",
+                                                      alpha=None))
+        assert summary.diverged and summary.iterations == 1 and records == []
+
+    def test_stop_radius_checks_every_iterate_and_draws_per_step(self):
+        problem, schedule = RademacherProblem(), AlphaSchedule(kind="inverse_t", value=0.5)
+        # theta0 inside the ball: the run ends before drawing anything
+        rng = np.random.default_rng(3)
+        run = run_hybrid(problem, 0.5, SwitchPolicy("abs_theta", 1.0), schedule, rng, 50,
+                         stop_radius=1.0)
+        assert run.iterates.tolist() == [0.5] and run.samples.tolist() == [0]
+        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+        # the free second point 1.5 / 2 is inside
+        run = run_hybrid(problem, 1.5, SwitchPolicy("abs_theta", 0.0), schedule,
+                         np.random.default_rng(3), 50, stop_radius=1.0)
+        assert run.iterates.tolist() == [1.5, 0.75] and run.samples.tolist() == [0, 0]
+        # from a poor start the run ends at its first iterate inside, having
+        # drawn only the samples it spent
+        rng = np.random.default_rng(4)
+        run = run_hybrid(problem, 1e4, SwitchPolicy("abs_theta", 0.0), schedule, rng, 200,
+                         stop_radius=1.0)
+        assert abs(run.iterates[-1]) <= 1.0 and np.all(np.abs(run.iterates[:-1]) > 1.0)
+        rng_call = np.random.default_rng(4)
+        for _ in range(int(run.samples[-1])):
+            problem.sample(rng_call, 1)
+        assert rng.bit_generator.state == rng_call.bit_generator.state
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("switch_kind,threshold", [
         ("abs_theta", 1.0),
@@ -324,17 +369,17 @@ class TestHybridRun:
         ("cv", 5.0),
     ])
     def test_matches_run_hybrid(self, switch_kind, threshold, seed):
-        # run_hybrid and the harness's hybrid loop implement one algorithm;
-        # with equal CV windows they visit the same iterates
+        # run_hybrid and run_experiment's hybrid optimizer share one loop;
+        # at the default cv_buffer they visit the same iterates
         config = ExperimentConfig.from_dict(dict(
             problem="rademacher", theta0=500.0, optimizer="hybrid",
             switch_kind=switch_kind, switch_threshold=threshold, k=1, alpha=0.5,
             alpha_schedule="inverse_t", epochs=1, epoch_size=300, eval_every=1,
-            cv_buffer=20, seed=seed))
+            seed=seed))
         records, summary = run_experiment(config)
         rng = np.random.default_rng(seed)
         run = run_hybrid(RademacherProblem(), 500.0,
-                         SwitchPolicy(kind=switch_kind, threshold=threshold, window=20),
+                         SwitchPolicy(kind=switch_kind, threshold=threshold),
                          AlphaSchedule(kind="inverse_t", value=0.5), rng, 300)
         assert not run.diverged and not summary.diverged
         # iterates[0] is theta0 and iterates[1] the free second point
@@ -415,6 +460,27 @@ class TestCli:
         assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
         assert "eval_every (51) exceeds" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_run_negative_test_set_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("problem: logistic\ndim: 2\ntheta0: 0.0\noptimizer: sgd\n"
+                       "alpha: 0.1\ntest_per_class: -3\n")
+        assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
+        assert "test_per_class must be >= 1" in capsys.readouterr().err
+
+    def test_run_secant_overflow_exits_2(self, tmp_path):
+        cfg = tmp_path / "overflow.yaml"
+        cfg.write_text("problem: rademacher\ntheta0: 1.0e308\noptimizer: secant\n"
+                       "epochs: 1\nepoch_size: 50\n")
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_run_risk_overflow_exits_2(self, tmp_path):
+        # theta jumps from 2 to about -6e200 in one step; its risk theta^2 + 1
+        # overflows, so the guard must flag it before asking the oracle
+        cfg = tmp_path / "jump.yaml"
+        cfg.write_text("problem: rademacher\ntheta0: 2.0\noptimizer: sgd\n"
+                       "alpha: 1.0e200\nepochs: 1\nepoch_size: 50\n")
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path)]) == 2
 
     def test_run_missing_file_exits_3(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "absent.yaml")]) == 3

@@ -6,15 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sgdlab.errors import ConfigurationError
-from sgdlab.optimizers import (AlphaSchedule, MomentumState, SecantState,
-                               StepSettings, SwitchPolicy, run_hybrid,
-                               step_momentum, step_secant, step_sgd)
-from sgdlab.problems import Minibatch, RademacherProblem, draw_minibatch
-
-
-def batch_with_gradient(g):
-    g = np.asarray(g, dtype=float)
-    return Minibatch(samples=None, costs=np.zeros(1), mean_gradient=g)
+from sgdlab.harness import run_hybrid
+from sgdlab.optimizers import (AlphaSchedule, SecantState, StepSettings,
+                               SwitchPolicy, step_momentum, step_secant, step_sgd)
+from sgdlab.problems import LeastSquaresProblem, RademacherProblem, draw_minibatch
 
 
 class TestStepSettings:
@@ -31,43 +26,38 @@ class TestMomentumStep:
     def test_hand_evaluated_update(self):
         # theta=2, single sample x=1: gradient 2(2-1)=2; alpha=0.1, beta=0.9, v=0
         theta = np.array([2.0])
-        state = MomentumState.initial(1)
-        batch = batch_with_gradient([2.0])
-        new_theta, new_state = step_momentum(theta, state, batch,
-                                             StepSettings(0.1, 0.9))
-        assert new_state.v[0] == 2.0
+        new_theta, new_v = step_momentum(theta, np.zeros(1), np.array([2.0]),
+                                         StepSettings(0.1, 0.9))
+        assert new_v[0] == 2.0
         assert new_theta[0] == pytest.approx(1.8)
-        assert new_state.iteration == 1
 
     def test_beta_zero_collapses_to_sgd(self):
         theta = np.array([1.0, -2.0])
-        batch = batch_with_gradient([0.5, 0.25])
-        new_theta, _ = step_momentum(theta, MomentumState.initial(2), batch,
-                                     StepSettings(0.2, 0.0))
-        assert np.array_equal(new_theta, theta - 0.2 * batch.mean_gradient)
+        g = np.array([0.5, 0.25])
+        new_theta, _ = step_momentum(theta, np.zeros(2), g, StepSettings(0.2, 0.0))
+        assert np.array_equal(new_theta, theta - 0.2 * g)
 
     def test_zero_gradient_fixed_point(self):
         theta = np.array([3.0])
-        batch = batch_with_gradient([0.0])
-        new_theta, _ = step_momentum(theta, MomentumState.initial(1), batch,
+        new_theta, _ = step_momentum(theta, np.zeros(1), np.array([0.0]),
                                      StepSettings(0.5, 0.9))
         assert new_theta[0] == 3.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
-            step_momentum(np.zeros(2), MomentumState.initial(3),
-                          batch_with_gradient([1.0, 1.0]), StepSettings(0.1))
+            step_momentum(np.zeros(2), np.zeros(3), np.array([1.0, 1.0]),
+                          StepSettings(0.1))
 
 
 class TestSgdStep:
     def test_hand_evaluated_update(self):
         # theta=2, x=1, alpha=0.25: theta' = 2 - 0.25 * 2 = 1.5
-        new_theta = step_sgd(np.array([2.0]), batch_with_gradient([2.0]), 0.25)
+        new_theta = step_sgd(np.array([2.0]), np.array([2.0]), 0.25)
         assert new_theta[0] == 1.5
 
     def test_vanishing_learning_rate_keeps_theta(self):
         theta = np.array([2.0])
-        new_theta = step_sgd(theta, batch_with_gradient([2.0]), 1e-300)
+        new_theta = step_sgd(theta, np.array([2.0]), 1e-300)
         assert new_theta[0] == theta[0]
 
     def test_bit_identical_to_momentum_beta_zero_over_run(self):
@@ -75,13 +65,13 @@ class TestSgdStep:
         rng_a, rng_b = np.random.default_rng(44), np.random.default_rng(44)
         theta_a = np.array([3.0])
         theta_b = np.array([3.0])
-        state = MomentumState.initial(1)
+        v = np.zeros(1)
         for _ in range(100):
             batch_a = draw_minibatch(problem, theta_a, 2, rng_a)
             batch_b = draw_minibatch(problem, theta_b, 2, rng_b)
-            theta_a = step_sgd(theta_a, batch_a, 0.05)
-            theta_b, state = step_momentum(theta_b, state, batch_b,
-                                           StepSettings(0.05, 0.0))
+            theta_a = step_sgd(theta_a, batch_a.mean_gradient, 0.05)
+            theta_b, v = step_momentum(theta_b, v, batch_b.mean_gradient,
+                                       StepSettings(0.05, 0.0))
             assert theta_a.tobytes() == theta_b.tobytes()
 
 
@@ -179,10 +169,14 @@ class TestArraySecantStep:
 
 class TestHybrid:
     def test_requires_scalar_problem(self):
-        from sgdlab.problems import least_squares_problem
         with pytest.raises(ConfigurationError):
-            run_hybrid(least_squares_problem(3, 10.0, 0.0, seed=0), 5.0,
+            run_hybrid(LeastSquaresProblem(3, 10.0, 0.0, seed=0), 5.0,
                        SwitchPolicy(), AlphaSchedule(), np.random.default_rng(0), 10)
+        # a vector start on a vector problem too: the run logs only theta[0]
+        with pytest.raises(ConfigurationError, match="scalar problem"):
+            run_hybrid(LeastSquaresProblem(3, 10.0, 0.0, seed=0), np.full(3, 5.0),
+                       SwitchPolicy(kind="abs_theta", threshold=1e9), AlphaSchedule(),
+                       np.random.default_rng(0), 10)
 
     def test_never_firing_switch_is_pure_secant(self):
         problem = RademacherProblem()
@@ -214,7 +208,7 @@ class TestHybrid:
         expect = [0.5]
         for i in range(1, 31):
             batch = draw_minibatch(problem, theta, 1, rng)
-            theta = step_sgd(theta, batch, 0.5 / i)
+            theta = step_sgd(theta, batch.mean_gradient, 0.5 / i)
             expect.append(float(theta[0]))
         assert np.array_equal(run.iterates, np.array(expect))
 
@@ -245,7 +239,7 @@ class TestHybrid:
 
     def test_cv_switch_policy_fires(self):
         problem = RademacherProblem()
-        run = run_hybrid(problem, 500.0, SwitchPolicy(kind="cv", threshold=0.5, window=10),
+        run = run_hybrid(problem, 500.0, SwitchPolicy(kind="cv", threshold=0.5),
                          AlphaSchedule(kind="inverse_t", value=0.5),
                          np.random.default_rng(80), 400)
         assert run.switch_index is not None

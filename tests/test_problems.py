@@ -7,10 +7,7 @@ import pytest
 from sgdlab.errors import ConfigurationError
 from sgdlab.problems import (LeastSquaresProblem, LogisticBlobsProblem,
                              RademacherProblem, draw_minibatch,
-                             evaluate_minibatch, least_squares_problem,
-                             rademacher_cost, rademacher_grad,
-                             rademacher_oracle, rademacher_sample,
-                             synthetic_logistic_problem)
+                             evaluate_minibatch)
 
 
 def fd_mean_gradient(problem, theta, samples, h=1e-5):
@@ -26,6 +23,12 @@ def fd_mean_gradient(problem, theta, samples, h=1e-5):
     return fd
 
 
+def rademacher_evaluate(theta, x):
+    """(cost, gradient) of one sample x at a scalar theta, from Problem.evaluate."""
+    costs, grad = RademacherProblem().evaluate(np.array([theta]), np.array([x]))
+    return costs[0], grad[0]
+
+
 class TestRademacher:
     def test_sample_values_and_mean(self):
         rng = np.random.default_rng(123)
@@ -34,12 +37,13 @@ class TestRademacher:
         assert abs(xs.mean()) <= 0.004  # 3 sigma band at n = 1e6
 
     def test_sample_deterministic_by_seed_and_index(self):
-        a = [rademacher_sample(np.random.default_rng(7)) for _ in range(1)]
-        b = [rademacher_sample(np.random.default_rng(7)) for _ in range(1)]
+        sample = RademacherProblem().sample
+        a = [sample(np.random.default_rng(7), 1)[0] for _ in range(1)]
+        b = [sample(np.random.default_rng(7), 1)[0] for _ in range(1)]
         assert a == b
         rng1, rng2 = np.random.default_rng(99), np.random.default_rng(99)
-        draws1 = [rademacher_sample(rng1) for _ in range(50)]
-        draws2 = [rademacher_sample(rng2) for _ in range(50)]
+        draws1 = [sample(rng1, 1)[0] for _ in range(50)]
+        draws2 = [sample(rng2, 1)[0] for _ in range(50)]
         assert draws1 == draws2
 
     @pytest.mark.parametrize("theta,x,expected", [
@@ -48,22 +52,23 @@ class TestRademacher:
         (3.0, 1.0, 4.0),
     ])
     def test_cost_values(self, theta, x, expected):
-        assert rademacher_cost(theta, x) == expected
+        assert rademacher_evaluate(theta, x)[0] == expected
 
     @pytest.mark.parametrize("theta,x,expected", [
         (1.0, 1.0, 0.0),
         (0.0, -1.0, 2.0),
     ])
     def test_grad_values(self, theta, x, expected):
-        assert rademacher_grad(theta, x)[0] == expected
+        assert rademacher_evaluate(theta, x)[1] == expected
 
     def test_grad_matches_finite_difference(self):
         h = 1e-5
-        fd = (rademacher_cost(0.7 + h, 1.0) - rademacher_cost(0.7 - h, 1.0)) / (2 * h)
-        assert abs(fd - rademacher_grad(0.7, 1.0)[0]) < 1e-6
+        fd = (rademacher_evaluate(0.7 + h, 1.0)[0]
+              - rademacher_evaluate(0.7 - h, 1.0)[0]) / (2 * h)
+        assert abs(fd - rademacher_evaluate(0.7, 1.0)[1]) < 1e-6
 
     def test_oracle_closed_forms(self):
-        oracle = rademacher_oracle()
+        oracle = RademacherProblem().oracle
         assert oracle.true_cv([0.0]) == 0.0
         assert oracle.true_cv([1.0]) == 1.0
         assert abs(oracle.true_cv([10.0]) - 20.0 / 101.0) < 1e-15
@@ -99,24 +104,24 @@ class TestRademacher:
 class TestLeastSquares:
     def test_rejects_bad_condition_number(self):
         with pytest.raises(ConfigurationError):
-            least_squares_problem(4, 0.5, 0.0, seed=0)
+            LeastSquaresProblem(4, 0.5, 0.0, seed=0)
 
     def test_eigenvalues_log_spaced(self):
-        p = least_squares_problem(5, 100.0, 0.0, seed=0)
+        p = LeastSquaresProblem(5, 100.0, 0.0, seed=0)
         assert p.eigenvalues[0] == 1.0
         assert p.eigenvalues[-1] == pytest.approx(100.0)
         ratios = p.eigenvalues[1:] / p.eigenvalues[:-1]
         assert np.allclose(ratios, ratios[0])
 
     def test_interpolation_at_minimizer(self):
-        p = least_squares_problem(6, 50.0, 0.0, seed=3)
+        p = LeastSquaresProblem(6, 50.0, 0.0, seed=3)
         rng = np.random.default_rng(4)
         costs = p.costs(p.w_star, p.sample(rng, 1000))
         assert np.all(costs == 0.0)
 
     def test_risk_at_minimizer_matches_monte_carlo(self):
         noise = 0.1
-        p = least_squares_problem(10, 1000.0, noise, seed=1)
+        p = LeastSquaresProblem(10, 1000.0, noise, seed=1)
         assert p.oracle.true_risk(p.oracle.minimizer) == pytest.approx(noise ** 2)
         rng = np.random.default_rng(2)
         n = 10 ** 6
@@ -126,7 +131,7 @@ class TestLeastSquares:
         assert abs(costs.mean() - noise ** 2) <= band
 
     def test_deviation_has_zero_mean(self):
-        p = least_squares_problem(4, 20.0, 0.3, seed=9)
+        p = LeastSquaresProblem(4, 20.0, 0.3, seed=9)
         rng = np.random.default_rng(10)
         theta = p.w_star + 0.5
         n = 10 ** 6
@@ -136,7 +141,7 @@ class TestLeastSquares:
         assert abs(costs.mean() - risk) <= band
 
     def test_gradient_matches_finite_differences(self):
-        p = least_squares_problem(8, 100.0, 0.2, seed=5)
+        p = LeastSquaresProblem(8, 100.0, 0.2, seed=5)
         rng = np.random.default_rng(6)
         samples = p.sample(rng, 40)
         for trial in range(5):
@@ -146,7 +151,7 @@ class TestLeastSquares:
             assert np.linalg.norm(fd - g) <= 1e-6 * max(np.linalg.norm(g), 1e-12)
 
     def test_risk_gradient_matches_risk(self):
-        p = least_squares_problem(5, 10.0, 0.0, seed=2)
+        p = LeastSquaresProblem(5, 10.0, 0.0, seed=2)
         theta = np.linspace(-1, 1, 5)
         h = 1e-6
         for j in range(5):
@@ -159,16 +164,16 @@ class TestLeastSquares:
 class TestLogistic:
     def test_rejects_bad_class_count(self):
         with pytest.raises(ConfigurationError):
-            synthetic_logistic_problem(4, 1, 1.0, seed=0)
+            LogisticBlobsProblem(4, 1, 1.0, seed=0)
 
     def test_uniform_model_cost(self):
-        p = synthetic_logistic_problem(6, 5, 2.0, seed=1)
+        p = LogisticBlobsProblem(6, 5, 2.0, seed=1)
         rng = np.random.default_rng(2)
         costs = p.costs(np.zeros(p.dim), p.sample(rng, 200))
         assert np.allclose(costs, np.log(5), atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
-        p = synthetic_logistic_problem(7, 3, 2.5, seed=3)
+        p = LogisticBlobsProblem(7, 3, 2.5, seed=3)
         rng = np.random.default_rng(4)
         samples = p.sample(rng, 30)
         for trial in range(5):
@@ -189,16 +194,16 @@ class TestLogistic:
         assert abs(summary.final_accuracy - 0.25) <= band
 
     def test_test_set_is_fixed(self):
-        p1 = synthetic_logistic_problem(5, 3, 2.0, seed=11)
-        p2 = synthetic_logistic_problem(5, 3, 2.0, seed=11)
+        p1 = LogisticBlobsProblem(5, 3, 2.0, seed=11)
+        p2 = LogisticBlobsProblem(5, 3, 2.0, seed=11)
         theta = np.random.default_rng(0).standard_normal(p1.dim)
         assert p1.test_metrics(theta) == p2.test_metrics(theta)
 
 
 MAKE_PROBLEMS = [
     lambda: RademacherProblem(),
-    lambda: least_squares_problem(5, 30.0, 0.2, seed=7),
-    lambda: synthetic_logistic_problem(4, 3, 2.0, seed=8),
+    lambda: LeastSquaresProblem(5, 30.0, 0.2, seed=7),
+    lambda: LogisticBlobsProblem(4, 3, 2.0, seed=8),
 ]
 
 
@@ -235,12 +240,12 @@ class TestMinibatch:
         rng = np.random.default_rng(2)
         k = 10 ** 6
         batch = draw_minibatch(p, [2.0], k, rng)
-        assert batch.k == k
+        assert batch.costs.shape[0] == k
         assert abs(batch.costs.mean() - 5.0) <= 4.0 * 4.0 / np.sqrt(k)
         assert abs(batch.costs.std(ddof=1) - 4.0) <= 0.01 * 4.0
 
     def test_reproducible_given_seed(self):
-        p = least_squares_problem(4, 10.0, 0.1, seed=0)
+        p = LeastSquaresProblem(4, 10.0, 0.1, seed=0)
         b1 = draw_minibatch(p, np.zeros(4), 16, np.random.default_rng(33))
         b2 = draw_minibatch(p, np.zeros(4), 16, np.random.default_rng(33))
         assert np.array_equal(b1.costs, b2.costs)
@@ -283,6 +288,6 @@ class TestMinibatch:
 
     def test_block_draws_only_where_draws_do_not_interleave(self):
         assert RademacherProblem().block_draws
-        assert least_squares_problem(3, 10.0, 0.0, seed=0).block_draws
-        assert not least_squares_problem(3, 10.0, 0.1, seed=0).block_draws
-        assert not synthetic_logistic_problem(3, 2, 1.0, seed=0).block_draws
+        assert LeastSquaresProblem(3, 10.0, 0.0, seed=0).block_draws
+        assert not LeastSquaresProblem(3, 10.0, 0.1, seed=0).block_draws
+        assert not LogisticBlobsProblem(3, 2, 1.0, seed=0).block_draws
