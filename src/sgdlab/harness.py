@@ -20,8 +20,8 @@ import yaml
 
 from .diagnostics import CvEstimate, RolloffPolicy, estimate_cv, smooth_cv
 from .errors import ConfigurationError, InsufficientDataError, TraceFormatError
-from .optimizers import (AlphaSchedule, SecantState, StepSettings, SwitchPolicy,
-                         step_momentum, step_secant, step_sgd)
+from .optimizers import (AlphaSchedule, SecantState, SwitchPolicy, step_momentum,
+                         step_secant, step_sgd)
 from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Problem,
                        RademacherProblem, SampleStream, _as_theta)
 # The run loop calls Problem.evaluate; these stay bound here because
@@ -91,12 +91,16 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
         coerced = dict(raw)
         try:
-            for key in ExperimentConfig._INT_KEYS:
-                if coerced.get(key) is not None:
-                    coerced[key] = int(coerced[key])
-            for key in ExperimentConfig._FLOAT_KEYS:
-                if coerced.get(key) is not None:
-                    coerced[key] = float(coerced[key])
+            for key in ExperimentConfig._INT_KEYS + ExperimentConfig._FLOAT_KEYS:
+                value, is_int = coerced.get(key), key in ExperimentConfig._INT_KEYS
+                if value is None:
+                    continue
+                # int() and float() would read True as 1 and cut 2.7 to 2
+                if isinstance(value, bool) or (is_int and isinstance(value, float)
+                                               and not value.is_integer()):
+                    raise ValueError(f"expected {'an integer' if is_int else 'a number'}, "
+                                     f"got {value!r}")
+                coerced[key] = int(value) if is_int else float(value)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad value for config key {key!r}: {exc}") from exc
         config = ExperimentConfig(**coerced)
@@ -191,8 +195,12 @@ class ExperimentConfig:
         return AlphaSchedule(kind=self.alpha_schedule, value=float(self.alpha))
 
     def make_rolloff_policy(self) -> Optional[RolloffPolicy]:
-        if self.beta_policy is None:
+        """The momentum optimizer's policy; a constant `beta` is the constant
+        roll-off policy, so the run loop has one momentum source."""
+        if self.optimizer != "momentum":
             return None
+        if self.beta is not None:
+            return RolloffPolicy("constant", beta_max=float(self.beta))
         return RolloffPolicy(kind=self.beta_policy, beta_max=float(self.beta_max),
                              cv_low=float(self.cv_low), cv_high=float(self.cv_high))
 
@@ -205,7 +213,10 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Parse a flat YAML mapping into a validated ExperimentConfig."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigurationError(f"{path}: invalid YAML: {exc}") from exc
     if raw is None:
         raise ConfigurationError(f"empty config file: {path}")
     return ExperimentConfig.from_dict(raw)
@@ -314,15 +325,17 @@ class _CvTracker:
 
 def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
               schedule: Optional[AlphaSchedule], n_iterations: int, *, k: int = 1,
-              beta: Optional[float] = None, policy: Optional[RolloffPolicy] = None,
+              policy: Optional[RolloffPolicy] = None,
               secant: bool = False, switch: Optional[SwitchPolicy] = None,
               cv_every: Optional[int] = None, cv_window: int = 10, cv_buffer: int = 100,
               next_samples=None):
     """The one run loop, behind `run_experiment` and `run_hybrid`.
 
     With `secant`, secant steps until `switch` fires (never when it is None),
-    then SGD on `schedule` with its index restarted at 1; momentum when
-    `beta` or a roll-off `policy` is given. CV estimates are computed when
+    then SGD on `schedule` with its index restarted at 1; heavy-ball momentum
+    when a roll-off `policy` is given, a constant `beta` being the constant
+    policy. Secant steps run on the 1-element arrays the loop holds, the same
+    array code that verification uses. CV estimates are computed when
     the policy, the cv switch or every `cv_every`-th iteration needs one.
     Samples come from `next_samples()`, by default a `SampleStream` sized to
     the run. Yields (iteration, theta, samples consumed, costs, risk, cv_raw,
@@ -343,8 +356,8 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
     in_secant = secant and not (switch is not None and switch.fires(float(theta[0]), None))
     yield 0, theta, 0, None, None, None, None, 0.0, 0.0, in_secant, False
     if in_secant:
-        start = float(theta[0])
-        second = start / 2.0 if start != 0.0 else 1.0
+        start = theta
+        second = float(start[0]) / 2.0 if start[0] != 0.0 else 1.0
         theta = np.array([second])
         in_secant = switch is None or not switch.fires(second, None)
         yield 0, theta, 0, None, None, None, None, 0.0, 0.0, in_secant, False
@@ -352,11 +365,10 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
         # a secant phase first spends one sample on the gradient at theta0
         next_samples = SampleStream(problem, rng, k, n_iterations + int(in_secant)).draw
     if in_secant:
-        init_costs, init_grad = problem.evaluate(np.array([start]), next_samples())
+        init_costs, init_grad = problem.evaluate(start, next_samples())
         samples += 1
         tracker.observe(init_costs)
-        secant_state = SecantState(theta_prev2=start, theta_prev1=second,
-                                   grad_prev2=float(init_grad[0]))
+        secant_state = SecantState(theta_prev2=start, theta_prev1=theta, grad_prev2=init_grad)
 
     for iteration in range(1, n_iterations + 1):
         costs, grad = problem.evaluate(theta, next_samples())
@@ -368,16 +380,15 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
         if in_secant:
             alpha_i = beta_i = 0.0
             try:
-                theta_scalar, secant_state = step_secant(secant_state, float(grad[0]))
+                theta, secant_state = step_secant(secant_state, grad)
             except ConfigurationError:  # the step left the finite floats
-                theta_scalar = math.nan
-            theta = np.array([theta_scalar])
+                theta = np.array([math.nan])
         else:
             sgd_iter += 1
             alpha_i = schedule.alpha(sgd_iter)
-            if beta is not None or policy is not None:
-                beta_i = policy.beta(cv_smoothed) if policy is not None else beta
-                theta, v = step_momentum(theta, v, grad, StepSettings(alpha_i, beta_i))
+            if policy is not None:
+                beta_i = policy.beta(cv_smoothed)
+                theta, v = step_momentum(theta, v, grad, alpha_i, beta_i)
             else:
                 beta_i = 0.0
                 theta = step_sgd(theta, grad, alpha_i)
@@ -441,8 +452,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
 
     run = _run_loop(
         problem, theta, rng, config.make_alpha_schedule(), config.total_iterations(),
-        k=k, beta=config.beta if config.optimizer == "momentum" else None,
-        policy=config.make_rolloff_policy(),
+        k=k, policy=config.make_rolloff_policy(),
         secant=config.optimizer in ("secant", "hybrid"),
         switch=config.make_switch_policy(), cv_every=eval_every,
         cv_window=int(config.cv_window), cv_buffer=int(config.cv_buffer),
@@ -596,18 +606,21 @@ def read_trace(path) -> list[TraceRecord]:
             raise TraceFormatError(f"{path}: missing column(s) {', '.join(missing)}")
         raise TraceFormatError(f"{path}: unexpected header {header!r}")
     records = []
+    opt = lambda s: None if s == "" else float(s)
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 10:
             raise TraceFormatError(f"{path}:{lineno}: expected 10 fields, got {len(parts)}")
-        opt = lambda s: None if s == "" else float(s)
-        records.append(TraceRecord(
-            epoch=int(parts[0]), iteration=int(parts[1]),
-            true_risk=opt(parts[2]), est_risk=float(parts[3]),
-            cv_raw=opt(parts[4]), cv_smoothed=opt(parts[5]),
-            alpha=float(parts[6]), beta=float(parts[7]),
-            accuracy=opt(parts[8]), theta_norm=float(parts[9]),
-        ))
+        try:
+            records.append(TraceRecord(
+                epoch=int(parts[0]), iteration=int(parts[1]),
+                true_risk=opt(parts[2]), est_risk=float(parts[3]),
+                cv_raw=opt(parts[4]), cv_smoothed=opt(parts[5]),
+                alpha=float(parts[6]), beta=float(parts[7]),
+                accuracy=opt(parts[8]), theta_norm=float(parts[9]),
+            ))
+        except ValueError as exc:
+            raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
     return records
 
 

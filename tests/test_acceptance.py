@@ -14,8 +14,7 @@ import pytest
 from quadratic_oracle import quadratic_iters_to_gap
 from sgdlab.harness import (ExperimentConfig, load_config, read_trace,
                             run_experiment, write_trace)
-from sgdlab.optimizers import SecantState, StepSettings, step_momentum, \
-    step_secant, step_sgd
+from sgdlab.optimizers import SecantState, step_momentum, step_secant, step_sgd
 from sgdlab.problems import LeastSquaresProblem
 from sgdlab.verification import (DEFAULT_SEED, hybrid_samples_to_unit_ball,
                                  sgd_samples_to_unit_ball, verify_cv_formula,
@@ -130,7 +129,7 @@ def _iters_via_steps(problem, theta0, alpha, beta, gap_target, cap):
         if beta == 0.0:
             theta = step_sgd(theta, g, alpha)
         else:
-            theta, v = step_momentum(theta, v, g, StepSettings(alpha, beta))
+            theta, v = step_momentum(theta, v, g, alpha, beta)
         if problem.oracle.true_risk(theta) - min_risk <= gap_target:
             return it
     return None

@@ -1,14 +1,16 @@
 """Harness contracts: config validation, epoch accounting, determinism,
 trace round-trips, grids, and the CLI exit codes."""
 
+import dataclasses
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sgdlab.cli import main as cli_main
-from sgdlab.errors import ConfigurationError
+from sgdlab.errors import ConfigurationError, TraceFormatError
 from sgdlab.diagnostics import estimate_cv
 from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, TraceRecord, _CvTracker,
                             build_problem, load_config, read_trace,
@@ -16,6 +18,8 @@ from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, TraceRecord, _CvTrac
 from sgdlab.optimizers import AlphaSchedule, SwitchPolicy
 from sgdlab.problems import (BLOCK_COORDINATES, LeastSquaresProblem,
                              RademacherProblem, SampleStream)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_config(**overrides):
@@ -72,6 +76,13 @@ class TestConfigValidation:
          "theta0 has 2 entries, problem needs 4"),
         (dict(optimizer="hybrid", alpha_schedule="inverse_t", beta_policy="cv_linear"),
          "hybrid takes no momentum"),
+        # integer keys neither truncate nor read booleans as numbers
+        (dict(epochs=2.7), "config key 'epochs': expected an integer, got 2.7"),
+        (dict(seed=3.9), "config key 'seed': expected an integer, got 3.9"),
+        (dict(k=True), "config key 'k': expected an integer, got True"),
+        (dict(epoch_size=float("inf")), "config key 'epoch_size': expected an integer"),
+        (dict(alpha=True), "config key 'alpha': expected a number, got True"),
+        (dict(optimizer="momentum", beta=False), "config key 'beta': expected a number"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,
@@ -100,6 +111,44 @@ class TestConfigValidation:
                         "alpha: 0.1\nepochs: 1\nepoch_size: 50\nseed: 4\n")
         cfg = load_config(path)
         assert cfg.problem == "rademacher" and cfg.seed == 4
+
+    def test_integral_float_int_key_loads(self, tmp_path):
+        # YAML 1.1 reads 1.0e5 (no exponent sign) as a string; 1.0e+5 is a float
+        path = tmp_path / "c.yaml"
+        path.write_text("problem: rademacher\ntheta0: 2.0\noptimizer: sgd\n"
+                        "alpha: 0.1\nepochs: 1.0\nepoch_size: 1.0e+5\nseed: 4\n")
+        cfg = load_config(path)
+        assert (cfg.epochs, cfg.epoch_size) == (1, 100000)
+        assert type(cfg.epoch_size) is int
+        assert make_config(epoch_size=1.0e5).epoch_size == 100000
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")),
+                             ids=lambda p: p.stem)
+    def test_checked_in_config_round_trips_through_asdict(self, path):
+        config = load_config(path)
+        assert ExperimentConfig.from_dict(dataclasses.asdict(config)) == config
+
+    @settings(max_examples=60, deadline=None)
+    @given(optimizer=st.sampled_from([
+               dict(optimizer="sgd"), dict(optimizer="momentum", beta=0.5),
+               dict(optimizer="momentum", beta_policy="cv_threshold", cv_high=2.0),
+               dict(optimizer="hybrid", switch_kind="cv", switch_threshold=0.5)]),
+           start=st.sampled_from(["theta0", "theta0_scale"]),
+           theta=st.floats(-1e6, 1e6), alpha=st.floats(1e-300, 1e3),
+           schedule=st.sampled_from(["constant", "inverse_t"]),
+           epochs=st.integers(1, 5), epoch_size=st.integers(1, 10 ** 6),
+           seed=st.integers(0, 2 ** 63), cv_window=st.integers(1, 50),
+           cv_buffer=st.integers(2, 500), risk=st.none() | st.floats(0.0, 10.0))
+    def test_valid_variant_round_trips_through_asdict(self, optimizer, start, theta,
+                                                      alpha, schedule, epochs,
+                                                      epoch_size, seed, cv_window,
+                                                      cv_buffer, risk):
+        config = ExperimentConfig.from_dict(dict(
+            problem="rademacher", **{start: theta}, **optimizer, alpha=alpha,
+            alpha_schedule=schedule, epochs=epochs, epoch_size=epoch_size,
+            eval_every=1, seed=seed, cv_window=cv_window, cv_buffer=cv_buffer,
+            risk_threshold=risk))
+        assert ExperimentConfig.from_dict(dataclasses.asdict(config)) == config
 
 
 class TestEpochAccounting:
@@ -183,6 +232,16 @@ class TestDeterminismAndRoundTrip:
         assert path.read_text() == TRACE_HEADER + "\n"
         assert read_trace(path) == []
 
+    @pytest.mark.parametrize("row,message", [
+        ("0,1,abc,1.0,,,0.1,0,,2.0", "could not convert string to float: 'abc'"),
+        ("0.5,1,1.0,1.0,,,0.1,0,,2.0", "invalid literal for int"),
+    ])
+    def test_malformed_field_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{TRACE_HEADER}\n0,1,1.0,1.0,,,0.1,0,,2.0\n{row}\n")
+        with pytest.raises(TraceFormatError, match=f"bad.csv:3: {message}"):
+            read_trace(path)
+
     def test_header_is_pinned(self):
         assert TRACE_HEADER == ("epoch,iteration,true_risk,est_risk,cv_raw,"
                                 "cv_smoothed,alpha,beta,accuracy,theta_norm")
@@ -205,6 +264,19 @@ class TestRobbinsMonroRun:
                 assert all(r >= 1.0 for r in risks)
                 assert risks[-1] < risks[0]
         assert np.median(finals) < 0.2
+
+    @pytest.mark.parametrize("optimizer", ["optimizer: sgd", "optimizer: momentum\nbeta: 0.5"])
+    def test_rate_underflowing_to_zero_runs_to_completion(self, tmp_path, optimizer):
+        # 5e-324 / i is 0.0 from i = 2 on: those steps leave theta unchanged
+        cfg = tmp_path / "underflow.yaml"
+        cfg.write_text(f"problem: rademacher\ntheta0: 2.0\n{optimizer}\n"
+                       "alpha: 5.0e-324\nalpha_schedule: inverse_t\n"
+                       "epochs: 1\nepoch_size: 50\n")
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+        records = read_trace(tmp_path / "underflow.trace.csv")
+        assert [r.iteration for r in records] == list(range(1, 51))
+        assert records[0].alpha == 5e-324 and records[-1].alpha == 0.0
+        assert records[-1].theta_norm == 2.0
 
     def test_divergent_run_is_flagged_and_truncated(self):
         cfg = ExperimentConfig.from_dict(dict(
@@ -481,6 +553,22 @@ class TestCli:
         cfg.write_text("problem: rademacher\ntheta0: 2.0\noptimizer: sgd\n"
                        "alpha: 1.0e200\nepochs: 1\nepoch_size: 50\n")
         assert cli_main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_run_invalid_yaml_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("problem: [rademacher\ntheta0: 1.0\n")
+        assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: invalid YAML")
+        assert "Traceback" not in err
+
+    def test_plot_malformed_trace_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{TRACE_HEADER}\n0,1,abc,1.0,,,0.1,0,,2.0\n")
+        assert cli_main(["plot", str(bad), "--out", str(tmp_path / "figs")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:2: could not convert")
+        assert "Traceback" not in err
 
     def test_run_missing_file_exits_3(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "absent.yaml")]) == 3

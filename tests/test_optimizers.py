@@ -1,25 +1,17 @@
 """Step-function contracts: hand-evaluated updates, the SGD/momentum
 equivalence, secant algebra, and hybrid scheduling."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sgdlab.errors import ConfigurationError
 from sgdlab.harness import run_hybrid
-from sgdlab.optimizers import (AlphaSchedule, SecantState, StepSettings,
-                               SwitchPolicy, step_momentum, step_secant, step_sgd)
+from sgdlab.optimizers import (AlphaSchedule, SecantState, SwitchPolicy,
+                               step_momentum, step_secant, step_sgd)
 from sgdlab.problems import LeastSquaresProblem, RademacherProblem, draw_minibatch
-
-
-class TestStepSettings:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            StepSettings(learning_rate=0.0)
-        with pytest.raises(ConfigurationError):
-            StepSettings(learning_rate=0.1, momentum=1.0)
-        with pytest.raises(ConfigurationError):
-            StepSettings(learning_rate=0.1, momentum=-0.1)
 
 
 class TestMomentumStep:
@@ -27,26 +19,21 @@ class TestMomentumStep:
         # theta=2, single sample x=1: gradient 2(2-1)=2; alpha=0.1, beta=0.9, v=0
         theta = np.array([2.0])
         new_theta, new_v = step_momentum(theta, np.zeros(1), np.array([2.0]),
-                                         StepSettings(0.1, 0.9))
+                                         0.1, 0.9)
         assert new_v[0] == 2.0
         assert new_theta[0] == pytest.approx(1.8)
 
     def test_beta_zero_collapses_to_sgd(self):
         theta = np.array([1.0, -2.0])
         g = np.array([0.5, 0.25])
-        new_theta, _ = step_momentum(theta, np.zeros(2), g, StepSettings(0.2, 0.0))
+        new_theta, _ = step_momentum(theta, np.zeros(2), g, 0.2, 0.0)
         assert np.array_equal(new_theta, theta - 0.2 * g)
 
     def test_zero_gradient_fixed_point(self):
         theta = np.array([3.0])
         new_theta, _ = step_momentum(theta, np.zeros(1), np.array([0.0]),
-                                     StepSettings(0.5, 0.9))
+                                     0.5, 0.9)
         assert new_theta[0] == 3.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            step_momentum(np.zeros(2), np.zeros(3), np.array([1.0, 1.0]),
-                          StepSettings(0.1))
 
 
 class TestSgdStep:
@@ -71,7 +58,7 @@ class TestSgdStep:
             batch_b = draw_minibatch(problem, theta_b, 2, rng_b)
             theta_a = step_sgd(theta_a, batch_a.mean_gradient, 0.05)
             theta_b, v = step_momentum(theta_b, v, batch_b.mean_gradient,
-                                       StepSettings(0.05, 0.0))
+                                       0.05, 0.0)
             assert theta_a.tobytes() == theta_b.tobytes()
 
 
@@ -136,6 +123,14 @@ ITERATES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(
 GRADIENTS = st.sampled_from([0.0, -0.0, 2.0, -2.0]) | st.floats()
 
 
+def scalar_secant_step(t2, t1, g2, g1):
+    """(theta', theta_prev2', theta_prev1', grad_prev2') of one secant step in
+    plain float arithmetic: the reference the array step must match."""
+    denom = g1 - g2
+    theta = t1 if t1 == t2 or denom == 0.0 else t1 - g1 * (t1 - t2) / denom
+    return theta, t1, theta, g1
+
+
 class TestArraySecantStep:
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.tuples(ITERATES, ITERATES, GRADIENTS, GRADIENTS),
@@ -144,20 +139,20 @@ class TestArraySecantStep:
                    (4.0, 2.0, 0.0, -0.0), (5.0, 3.0, 10.0, 6.0)])
     @example(rows=[(1.0, 2.0, 0.0, 1.0), (-1e308, 1e308, 1.0, 2.0)])
     def test_equals_scalar_step_elementwise(self, rows):
-        """An array state steps each element exactly as a scalar state would,
-        and raises ConfigurationError when any element's iterate is non-finite."""
+        """An array state steps each element exactly as the scalar float
+        formula would, and raises ConfigurationError when any element's new
+        iterate is non-finite."""
         t2, t1, g2, g1 = (np.array(column) for column in zip(*rows))
-        try:
-            scalar = [step_secant(SecantState(a, b, c), d) for a, b, c, d in rows]
-        except ConfigurationError:
+        scalar = [scalar_secant_step(*row) for row in rows]
+        if not all(math.isfinite(th) for th, *_ in scalar):
             with pytest.raises(ConfigurationError):
                 step_secant(SecantState(t2, t1, g2), g1)
             return
         theta, state = step_secant(SecantState(t2, t1, g2), g1)
         # tobytes tells -0.0 from 0.0
-        assert theta.tobytes() == np.array([th for th, _ in scalar]).tobytes()
-        for field in ("theta_prev2", "theta_prev1", "grad_prev2"):
-            expected = np.array([getattr(one, field) for _, one in scalar])
+        assert theta.tobytes() == np.array([th for th, *_ in scalar]).tobytes()
+        for i, field in enumerate(("theta_prev2", "theta_prev1", "grad_prev2"), start=1):
+            expected = np.array([one[i] for one in scalar])
             assert getattr(state, field).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
