@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .errors import ConfigurationError, InsufficientDataError
 POLICY_KINDS = ("constant", "cv_threshold", "cv_linear")
 
 
-@dataclass(frozen=True)
-class CvEstimate:
+class CvEstimate(NamedTuple):
     """Sample mean/std of minibatch costs and their ratio.
 
     cv is NaN (and valid is False) when the mean is nonpositive; costs are
@@ -43,12 +42,12 @@ def estimate_cv(costs) -> CvEstimate:
     n = c.shape[0]
     if n < 2:
         raise InsufficientDataError(f"CV estimation needs at least 2 costs, got {n}")
-    # the add.reduce passes np.mean and np.std(ddof=1) make, without their
-    # per-call overhead: the same summation order, so the same bits (np.dot
-    # and math.fsum sum in other orders)
-    mean = float(c.sum()) / n
+    # the add.reduce passes np.mean and np.std(ddof=1) make, called directly:
+    # the same summation order, so the same bits (np.dot and math.fsum sum in
+    # other orders)
+    mean = float(np.add.reduce(c)) / n
     d = c - mean
-    std = math.sqrt(float((d * d).sum()) / (n - 1))
+    std = math.sqrt(float(np.add.reduce(d * d)) / (n - 1))
     cv = std / mean if mean > 0.0 else float("nan")
     return CvEstimate(mean_cost=mean, std_cost=std, cv=cv, k=n)
 
@@ -104,7 +103,8 @@ def smooth_cv(history: Sequence[CvEstimate], window: int) -> float:
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window}")
     recent = history[-window:] if window < len(history) else history
-    values = sorted(e.cv for e in recent if e.valid)
+    # CvEstimate.valid, inline: this runs once per entry per smoothing
+    values = sorted(e.cv for e in recent if e.mean_cost > 0.0 and math.isfinite(e.cv))
     if not values:
         raise InsufficientDataError("no valid CV estimate in the smoothing window")
     # np.median's value: valid CVs are finite, so no NaN handling is needed

@@ -13,7 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -138,7 +138,7 @@ class ExperimentConfig:
             if self.alpha is None or not float(self.alpha) > 0.0:
                 raise ConfigurationError(
                     f"optimizer {self.optimizer!r} needs a positive alpha")
-        if self.optimizer != "momentum" and (self.beta or self.beta_policy):
+        if self.optimizer != "momentum" and (self.beta is not None or self.beta_policy is not None):
             raise ConfigurationError(
                 f"{self.optimizer} takes no momentum settings; use optimizer: momentum")
         if self.optimizer == "momentum":
@@ -242,8 +242,7 @@ def initial_theta(config: ExperimentConfig, problem: Problem,
     return float(config.theta0_scale) * direction / np.linalg.norm(direction)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     epoch: int
     iteration: int
     true_risk: Optional[float]
@@ -323,6 +322,11 @@ class _CvTracker:
             return None
 
 
+def _max_abs(theta: np.ndarray):
+    """np.abs(theta).max(), NaN included, without max's Python-level wrapper."""
+    return np.maximum.reduce(np.abs(theta))
+
+
 def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
               schedule: Optional[AlphaSchedule], n_iterations: int, *, k: int = 1,
               policy: Optional[RolloffPolicy] = None,
@@ -397,7 +401,7 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
         # the max is NaN when theta holds one, and NaN <= limit is False; the
         # risk oracle only sees iterates within the limit, whose squares are finite
         risk = None
-        diverged = not float(np.abs(theta).max()) <= DIVERGENCE_LIMIT
+        diverged = not float(_max_abs(theta)) <= DIVERGENCE_LIMIT
         if oracle_risk is not None and not diverged:
             risk = float(oracle_risk(theta))
             diverged = not math.isfinite(risk)
@@ -409,6 +413,9 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
             return
 
 
+# a diverging run overflows on its way out (its costs, their CV) and the guard
+# reports it, so each consumer of the run loop keeps numpy quiet, once per run
+@np.errstate(over="ignore", invalid="ignore")
 def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSummary]:
     """Run one seeded experiment, returning its trace records and summary.
 
@@ -464,8 +471,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
         record_due = iteration % eval_every == 0
 
         # --- tracking ---
-        # sum / n is how np.mean reduces, without its per-call overhead
-        mean_cost = (float(costs.sum()) / costs.shape[0]
+        # add.reduce / n is what np.mean computes, without its wrappers
+        mean_cost = (float(np.add.reduce(costs)) / costs.shape[0]
                      if risk is None or record_due else None)
         tracked = risk if risk is not None else mean_cost
         if best_risk is None or tracked < best_risk:
@@ -524,6 +531,7 @@ class HybridRun:
     diverged: bool = False
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_hybrid(problem: Problem, theta0: float, switch_policy: SwitchPolicy,
                sgd_schedule: AlphaSchedule, rng: np.random.Generator,
                max_iterations: int, stop_radius: Optional[float] = None) -> HybridRun:
@@ -578,13 +586,8 @@ def write_trace(records: Sequence[TraceRecord], path) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for r in records:
-                fh.write(",".join([
-                    _fmt(r.epoch), _fmt(r.iteration), _fmt(r.true_risk),
-                    _fmt(r.est_risk), _fmt(r.cv_raw), _fmt(r.cv_smoothed),
-                    _fmt(r.alpha), _fmt(r.beta), _fmt(r.accuracy),
-                    _fmt(r.theta_norm),
-                ]) + "\n")
+            for r in records:  # a record iterates its fields in header order
+                fh.write(",".join(map(_fmt, r)) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write trace {path}: {exc}") from exc
 
@@ -607,18 +610,14 @@ def read_trace(path) -> list[TraceRecord]:
         raise TraceFormatError(f"{path}: unexpected header {header!r}")
     records = []
     opt = lambda s: None if s == "" else float(s)
+    # one parser per field, in header order
+    parsers = (int, int, opt, float, opt, opt, float, float, opt, float)
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 10:
             raise TraceFormatError(f"{path}:{lineno}: expected 10 fields, got {len(parts)}")
         try:
-            records.append(TraceRecord(
-                epoch=int(parts[0]), iteration=int(parts[1]),
-                true_risk=opt(parts[2]), est_risk=float(parts[3]),
-                cv_raw=opt(parts[4]), cv_smoothed=opt(parts[5]),
-                alpha=float(parts[6]), beta=float(parts[7]),
-                accuracy=opt(parts[8]), theta_norm=float(parts[9]),
-            ))
+            records.append(TraceRecord(*[parse(p) for parse, p in zip(parsers, parts)]))
         except ValueError as exc:
             raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
     return records

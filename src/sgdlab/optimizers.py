@@ -66,10 +66,10 @@ def step_secant(state: SecantState, grad_at_prev1: Array) -> tuple[Array, Secant
     """
     t2, t1, g2 = state.theta_prev2, state.theta_prev1, state.grad_prev2
     g1 = np.asarray(grad_at_prev1, dtype=float)
-    denom = g1 - g2
-    keep = (t1 == t2) | (denom == 0.0)
-    # kept elements may divide by zero; np.where discards those values
+    # np.where drops kept elements' x / 0; inf - inf gradients give a NaN step
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = g1 - g2
+        keep = (t1 == t2) | (denom == 0.0)
         theta_new = np.where(keep, t1, t1 - g1 * (t1 - t2) / denom)
     return theta_new, SecantState(theta_prev2=t1, theta_prev1=theta_new, grad_prev2=g1)
 

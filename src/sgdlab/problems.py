@@ -167,7 +167,8 @@ class RademacherProblem(Problem):
 
     def __init__(self):
         self.oracle = Oracle(
-            true_risk=lambda th: _scalar(th) ** 2 + 1.0,
+            # the run loop only passes checked (1,) arrays, so no re-check
+            true_risk=lambda th: float(th[0]) ** 2 + 1.0,
             true_cv=lambda th: 2.0 * abs(_scalar(th)) / (_scalar(th) ** 2 + 1.0),
             minimizer=np.array([0.0]),
             min_risk=1.0,
@@ -177,9 +178,13 @@ class RademacherProblem(Problem):
         return rng.integers(0, 2, size=n) * 2.0 - 1.0  # int64 * float is float64
 
     def evaluate(self, theta: Array, samples: Array) -> tuple[Array, Array]:
-        d = theta[0] - samples
-        # sum / n is how np.mean reduces, without its per-call overhead
-        return d * d, np.array([float((2.0 * d).sum()) / d.shape[0]])
+        d = theta - samples  # the (1,) theta broadcasts against the (k,) samples
+        if d.shape[0] == 1:
+            # exact: add.reduce of one value is 0.0 + it, which is it unless it
+            # is -0.0, and theta - (+/-1) never is; dividing by 1 changes nothing
+            return d * d, 2.0 * d
+        # add.reduce is what .sum() and np.mean call, without their wrappers
+        return d * d, np.array([float(np.add.reduce(2.0 * d)) / d.shape[0]])
 
     # costs and mean_gradient repeat Problem's, here and on LeastSquaresProblem,
     # because perfbench's tracer wraps them on each class
@@ -191,6 +196,9 @@ class RademacherProblem(Problem):
 
     def subset(self, samples: Array, idx) -> Array:
         return samples[idx]
+
+    def take(self, block: Array, start: int, stop: int) -> Array:
+        return block[start:stop]
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,15 @@ class TestEstimateCv:
         else:
             assert np.isnan(est.cv) and not est.valid
 
+    def test_estimate_is_an_immutable_tuple(self):
+        est = estimate_cv([1.0, 3.0])
+        assert CvEstimate._fields == ("mean_cost", "std_cost", "cv", "k")
+        assert repr(est) == ("CvEstimate(mean_cost=2.0, std_cost=1.4142135623730951, "
+                             "cv=0.7071067811865476, k=2)")
+        assert est == (2.0, 2.0 ** 0.5, 2.0 ** 0.5 / 2.0, 2) and est.valid
+        with pytest.raises(AttributeError):
+            est.cv = 0.0
+
     @pytest.mark.parametrize("theta,expected", [(1.0, 1.0), (10.0, 20.0 / 101.0)])
     def test_matches_closed_form_on_large_batch(self, theta, expected):
         rng = np.random.default_rng(int(theta) + 40)

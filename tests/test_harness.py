@@ -2,18 +2,20 @@
 trace round-trips, grids, and the CLI exit codes."""
 
 import dataclasses
+import warnings
 from collections import deque
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgdlab.cli import main as cli_main
 from sgdlab.errors import ConfigurationError, TraceFormatError
 from sgdlab.diagnostics import estimate_cv
 from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, TraceRecord, _CvTracker,
-                            build_problem, load_config, read_trace,
+                            _max_abs, build_problem, load_config, read_trace,
                             run_experiment, run_grid, run_hybrid, write_trace)
 from sgdlab.optimizers import AlphaSchedule, SwitchPolicy
 from sgdlab.problems import (BLOCK_COORDINATES, LeastSquaresProblem,
@@ -83,6 +85,12 @@ class TestConfigValidation:
         (dict(epoch_size=float("inf")), "config key 'epoch_size': expected an integer"),
         (dict(alpha=True), "config key 'alpha': expected a number, got True"),
         (dict(optimizer="momentum", beta=False), "config key 'beta': expected a number"),
+        # falsy momentum settings are still momentum settings
+        (dict(beta=0.0, beta_policy=""), "sgd takes no momentum"),
+        (dict(optimizer="secant", alpha=None, beta=0.0, beta_policy=""),
+         "secant takes no momentum"),
+        (dict(optimizer="hybrid", alpha_schedule="inverse_t", beta=0.0, beta_policy=""),
+         "hybrid takes no momentum"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,
@@ -246,6 +254,18 @@ class TestDeterminismAndRoundTrip:
         assert TRACE_HEADER == ("epoch,iteration,true_risk,est_risk,cv_raw,"
                                 "cv_smoothed,alpha,beta,accuracy,theta_norm")
 
+    def test_record_is_an_immutable_tuple_in_header_order(self):
+        record = TraceRecord(epoch=0, iteration=1, true_risk=2.0, est_risk=2.5,
+                             cv_raw=None, cv_smoothed=None, alpha=0.5, beta=-0.0,
+                             accuracy=None, theta_norm=1.0)
+        assert TraceRecord._fields == tuple(TRACE_HEADER.split(","))
+        assert repr(record) == (
+            "TraceRecord(epoch=0, iteration=1, true_risk=2.0, est_risk=2.5, cv_raw=None, "
+            "cv_smoothed=None, alpha=0.5, beta=-0.0, accuracy=None, theta_norm=1.0)")
+        assert record == (0, 1, 2.0, 2.5, None, None, 0.5, -0.0, None, 1.0)
+        with pytest.raises(AttributeError):
+            record.alpha = 1.0
+
 
 class TestRobbinsMonroRun:
     def test_inverse_t_run_approaches_minimum(self):
@@ -289,6 +309,17 @@ class TestRobbinsMonroRun:
         assert len(records) < 1000
         for r in records:
             assert np.isfinite(r.theta_norm)
+
+
+class TestDivergenceGuard:
+    @settings(max_examples=300, deadline=None)
+    @given(theta=arrays(np.float64, st.integers(1, 20), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e12, -1e12]),
+        st.floats(allow_nan=True, allow_infinity=True))))
+    @example(theta=np.array([-0.0]))
+    @example(theta=np.array([np.nan, 1.0, np.inf]))
+    def test_max_abs_bit_identical_to_abs_max(self, theta):
+        assert np.asarray(_max_abs(theta)).tobytes() == np.abs(theta).max().tobytes()
 
 
 class TestCvTracker:
@@ -401,14 +432,19 @@ class TestHybridRun:
     def test_secant_overflow_is_a_divergence(self):
         # the second start point is 5e307 and the gradient at theta0
         # overflows, so the first secant step is not finite
-        run = run_hybrid(RademacherProblem(), 1e308, SwitchPolicy("abs_theta", 0.0),
-                         AlphaSchedule(kind="inverse_t", value=0.5),
-                         np.random.default_rng(0), 50)
+        # the guard reports the overflow; numpy warns about none of it
+        errors = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run = run_hybrid(RademacherProblem(), 1e308, SwitchPolicy("abs_theta", 0.0),
+                             AlphaSchedule(kind="inverse_t", value=0.5),
+                             np.random.default_rng(0), 50)
+            records, summary = run_experiment(make_config(theta0=1.0e308,
+                                                          optimizer="secant", alpha=None))
         assert run.diverged
         assert np.isnan(run.iterates[-1]) and len(run.iterates) == 3
-        records, summary = run_experiment(make_config(theta0=1.0e308, optimizer="secant",
-                                                      alpha=None))
         assert summary.diverged and summary.iterations == 1 and records == []
+        assert np.geterr() == errors  # the runs restore numpy's error state
 
     def test_stop_radius_checks_every_iterate_and_draws_per_step(self):
         problem, schedule = RademacherProblem(), AlphaSchedule(kind="inverse_t", value=0.5)
@@ -544,7 +580,9 @@ class TestCli:
         cfg = tmp_path / "overflow.yaml"
         cfg.write_text("problem: rademacher\ntheta0: 1.0e308\noptimizer: secant\n"
                        "epochs: 1\nepoch_size: 50\n")
-        assert cli_main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_main(["run", str(cfg), "--out", str(tmp_path)]) == 2
 
     def test_run_risk_overflow_exits_2(self, tmp_path):
         # theta jumps from 2 to about -6e200 in one step; its risk theta^2 + 1

@@ -3,6 +3,8 @@ sampling statistics, and minibatch contracts."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgdlab.errors import ConfigurationError
 from sgdlab.problems import (LeastSquaresProblem, LogisticBlobsProblem,
@@ -66,6 +68,24 @@ class TestRademacher:
         fd = (rademacher_evaluate(0.7 + h, 1.0)[0]
               - rademacher_evaluate(0.7 - h, 1.0)[0]) / (2 * h)
         assert abs(fd - rademacher_evaluate(0.7, 1.0)[1]) < 1e-6
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta=st.floats(-1e150, 1e150),
+           samples=arrays(np.float64, st.integers(1, 300),
+                          elements=st.sampled_from([-1.0, 1.0])))
+    @example(theta=-0.0, samples=np.array([1.0]))
+    @example(theta=-0.0, samples=np.array([-1.0]))
+    @example(theta=1.0, samples=np.array([1.0]))
+    @example(theta=-1.0, samples=np.array([-1.0, -1.0]))
+    def test_evaluate_bit_identical_to_reference_formulas(self, theta, samples):
+        # the formulas evaluate used before its broadcast, add.reduce and
+        # k = 1 shortcuts
+        th = np.array([theta])
+        costs, grad = RademacherProblem().evaluate(th, samples)
+        d = th[0] - samples
+        assert costs.tobytes() == (d * d).tobytes()
+        assert grad.tobytes() == np.array(
+            [float((2.0 * d).sum()) / samples.shape[0]]).tobytes()
 
     def test_oracle_closed_forms(self):
         oracle = RademacherProblem().oracle
