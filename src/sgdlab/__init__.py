@@ -6,8 +6,7 @@ from .errors import ConfigurationError, InsufficientDataError, TraceFormatError
 from .harness import (ExperimentConfig, HybridRun, RunSummary, TraceRecord,
                       load_config, read_trace, run_experiment, run_grid,
                       run_hybrid, write_trace)
-from .optimizers import (AlphaSchedule, SecantState, SwitchPolicy, step_momentum,
-                         step_secant, step_sgd)
+from .optimizers import AlphaSchedule, SwitchPolicy, step_momentum, step_secant, step_sgd
 from .plots import emit_plots
 from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Minibatch,
                        Oracle, Problem, RademacherProblem, draw_minibatch,

@@ -94,8 +94,9 @@ class RolloffPolicy:
                    self.beta_max * (self.cv_high - cv) / (self.cv_high - self.cv_low))
 
 
-def smooth_cv(history: Sequence[CvEstimate], window: int) -> float:
-    """Median of the valid CV values among the last `window` estimates.
+def smooth_cv(history: Sequence[CvEstimate], window: int) -> Optional[float]:
+    """Median of the valid CV values among the last `window` estimates, or
+    None when the window holds no valid estimate.
 
     The raw per-minibatch estimates are heavy-tailed; the median keeps one
     outlier batch from flipping the roll-off schedule.
@@ -106,7 +107,7 @@ def smooth_cv(history: Sequence[CvEstimate], window: int) -> float:
     # CvEstimate.valid, inline: this runs once per entry per smoothing
     values = sorted(e.cv for e in recent if e.mean_cost > 0.0 and math.isfinite(e.cv))
     if not values:
-        raise InsufficientDataError("no valid CV estimate in the smoothing window")
+        return None
     # np.median's value: valid CVs are finite, so no NaN handling is needed
     mid = len(values) // 2
     if len(values) % 2:

@@ -19,9 +19,8 @@ import numpy as np
 import yaml
 
 from .diagnostics import CvEstimate, RolloffPolicy, estimate_cv, smooth_cv
-from .errors import ConfigurationError, InsufficientDataError, TraceFormatError
-from .optimizers import (AlphaSchedule, SecantState, SwitchPolicy, step_momentum,
-                         step_secant, step_sgd)
+from .errors import ConfigurationError, TraceFormatError
+from .optimizers import AlphaSchedule, SwitchPolicy, step_momentum, step_secant, step_sgd
 from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Problem,
                        RademacherProblem, SampleStream, _as_theta)
 # The run loop calls Problem.evaluate; these stay bound here because
@@ -181,6 +180,9 @@ class ExperimentConfig:
     def theta0_values(self) -> np.ndarray:
         """theta0 as a flat float array (one entry broadcasts to every dim)."""
         try:
+            if any(isinstance(v, (bool, np.bool_))
+                   for v in np.asarray(self.theta0, dtype=object).flat):
+                raise TypeError("float() would read a boolean as a number")
             values = np.asarray(self.theta0, dtype=float).reshape(-1)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(
@@ -309,17 +311,11 @@ class _CvTracker:
         if costs.shape[0] < 2:
             # too few costs seen yet, or a short final minibatch of a
             # shuffled epoch
-            return None, self._smoothed()
+            return None, smooth_cv(self.history, self.window)
         est = estimate_cv(costs)
         self.history.append(est)
         raw = est.cv if est.valid else None
-        return raw, self._smoothed()
-
-    def _smoothed(self) -> Optional[float]:
-        try:
-            return smooth_cv(self.history, self.window)
-        except InsufficientDataError:
-            return None
+        return raw, smooth_cv(self.history, self.window)
 
 
 def _max_abs(theta: np.ndarray):
@@ -372,7 +368,7 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
         init_costs, init_grad = problem.evaluate(start, next_samples())
         samples += 1
         tracker.observe(init_costs)
-        secant_state = SecantState(theta_prev2=start, theta_prev1=theta, grad_prev2=init_grad)
+        prev_theta, prev_grad = start, init_grad
 
     for iteration in range(1, n_iterations + 1):
         costs, grad = problem.evaluate(theta, next_samples())
@@ -383,10 +379,7 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
         cv_raw, cv_smoothed = tracker.compute() if cv_due else (None, None)
         if in_secant:
             alpha_i = beta_i = 0.0
-            try:
-                theta, secant_state = step_secant(secant_state, grad)
-            except ConfigurationError:  # the step left the finite floats
-                theta = np.array([math.nan])
+            theta, prev_theta, prev_grad = step_secant(prev_theta, theta, prev_grad, grad), theta, grad
         else:
             sgd_iter += 1
             alpha_i = schedule.alpha(sgd_iter)
@@ -398,8 +391,8 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
                 theta = step_sgd(theta, grad, alpha_i)
 
         # --- divergence guard, one rule for both phases ---
-        # the max is NaN when theta holds one, and NaN <= limit is False; the
-        # risk oracle only sees iterates within the limit, whose squares are finite
+        # an overflowed step leaves inf or NaN in theta, and both fail <= limit;
+        # the risk oracle only sees iterates within the limit, whose squares are finite
         risk = None
         diverged = not float(_max_abs(theta)) <= DIVERGENCE_LIMIT
         if oracle_risk is not None and not diverged:

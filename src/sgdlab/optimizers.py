@@ -5,7 +5,8 @@ phase.
 The steps are pure arithmetic on (state, inputs): they check nothing, since
 the config, `AlphaSchedule` and `RolloffPolicy` validated every setting they
 receive, and nothing here owns an RNG. The run loop in `harness` draws the
-samples, evaluates the gradients and calls these steps.
+samples, evaluates the gradients, calls these steps and reports an iterate
+that left the finite floats as a divergence.
 """
 
 from __future__ import annotations
@@ -38,40 +39,23 @@ def step_sgd(theta: Array, g: Array, alpha: float) -> Array:
     return theta - alpha * g
 
 
-@dataclass(frozen=True)
-class SecantState:
-    """The two previous iterates plus the sampled gradient at the older one,
-    as arrays of one shape, each element an independent scalar run.
-
-    The sampled gradient at theta_prev1 is drawn fresh each iteration and passed
-    to step_secant directly; after the step it becomes grad_prev2.
-    """
-
-    theta_prev2: Array
-    theta_prev1: Array
-    grad_prev2: Array
-
-    def __post_init__(self):
-        if not np.isfinite([self.theta_prev2, self.theta_prev1]).all():
-            raise ConfigurationError("secant state requires finite iterates")
-
-
-def step_secant(state: SecantState, grad_at_prev1: Array) -> tuple[Array, SecantState]:
+def step_secant(theta_prev2: Array, theta_prev1: Array, grad_prev2: Array,
+                grad_prev1: Array) -> Array:
     """One secant update from sampled gradients, element by element:
 
         theta' = theta_prev1 - g1 * (theta_prev1 - theta_prev2) / (g1 - g2)
 
     Degenerate elements (equal iterates, or exactly equal sampled gradients
-    at distinct iterates) keep theta_prev1. Floats are stepped as 0-d arrays.
+    at distinct iterates) keep theta_prev1; an element that overflows comes
+    back non-finite. Floats are stepped as 0-d arrays.
     """
-    t2, t1, g2 = state.theta_prev2, state.theta_prev1, state.grad_prev2
-    g1 = np.asarray(grad_at_prev1, dtype=float)
+    t2, t1, g2 = theta_prev2, theta_prev1, grad_prev2
+    g1 = np.asarray(grad_prev1, dtype=float)
     # np.where drops kept elements' x / 0; inf - inf gradients give a NaN step
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         denom = g1 - g2
         keep = (t1 == t2) | (denom == 0.0)
-        theta_new = np.where(keep, t1, t1 - g1 * (t1 - t2) / denom)
-    return theta_new, SecantState(theta_prev2=t1, theta_prev1=theta_new, grad_prev2=g1)
+        return np.where(keep, t1, t1 - g1 * (t1 - t2) / denom)
 
 
 @dataclass(frozen=True)

@@ -156,11 +156,15 @@ def emit_plots(trace_paths: Sequence, out_dir) -> list[Path]:
     """One SVG per figure kind; figures with no data are skipped with a notice.
 
     The risk figure uses true_risk where a trace carries it and est_risk
-    otherwise; the CV figure scatters the raw per-minibatch values.
+    otherwise; the CV figure scatters the raw per-minibatch values. Each trace
+    is labelled by its file stem, or by its path where stems collide.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    traces = {Path(p).stem: read_trace(p) for p in trace_paths}
+    stems = [Path(p).stem for p in trace_paths]
+    # a path labels its trace where stems collide, as runs with two --out dirs do
+    traces = {stem if stems.count(stem) == 1 else str(p): read_trace(p)
+              for stem, p in zip(stems, trace_paths)}
     written = []
     for filename, description, value_of, title, ylabel, scatter in FIGURES:
         svg = _chart(traces, value_of, title, ylabel, scatter)

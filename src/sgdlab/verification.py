@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .harness import run_hybrid
-from .optimizers import AlphaSchedule, SecantState, SwitchPolicy, step_secant
+from .optimizers import AlphaSchedule, SwitchPolicy, step_secant
 from .problems import RademacherProblem
 
 DEFAULT_SEED = 20240817
@@ -136,8 +136,7 @@ def secant_one_step_trials(rng: np.random.Generator, n_trials: int,
         signs[i] = rng.integers(0, 2, size=2)
     t2, t1 = starts.T
     x2, x1 = (signs * 2.0 - 1.0).T
-    state = SecantState(theta_prev2=t2, theta_prev1=t1, grad_prev2=2.0 * (t2 - x2))
-    theta_new, _ = step_secant(state, 2.0 * (t1 - x1))
+    theta_new = step_secant(t2, t1, 2.0 * (t2 - x2), 2.0 * (t1 - x1))
     return theta_new, explicit_secant_update(t2, t1, x2, x1)
 
 
@@ -162,11 +161,10 @@ def secant_long_run_finals(rng: np.random.Generator, n_trials: int, n_steps: int
             draws[j] = rng.integers(0, 2, size=n_steps + 1)
         t2, t1 = starts.T
         xs = (draws.T * 2 - 1).astype(float)  # row s: every trial's sample s
-        state = SecantState(theta_prev2=t2, theta_prev1=t1,
-                            grad_prev2=2.0 * (t2 - xs[0]))
-        theta = t1
+        prev, theta, prev_g = t2, t1, 2.0 * (t2 - xs[0])
         for x in xs[1:]:
-            theta, state = step_secant(state, 2.0 * (state.theta_prev1 - x))
+            g = 2.0 * (theta - x)
+            theta, prev, prev_g = step_secant(prev, theta, prev_g, g), theta, g
         finals[lo:lo + n] = np.abs(theta)
     return finals
 

@@ -2,13 +2,14 @@
 
 The trial loop below is the scalar one-trial-at-a-time version the array
 implementation replaced, kept verbatim apart from also returning every
-one-step iterate and every long-run final |theta|. Equivalence tests require
-the array version to match it exactly.
+one-step iterate and every long-run final |theta|, and from passing the two
+iterates and two gradients to `step_secant` directly. Equivalence tests
+require the array version to match it exactly.
 """
 
 import numpy as np
 
-from sgdlab.optimizers import SecantState, step_secant
+from sgdlab.optimizers import step_secant
 from sgdlab.verification import OracleReport, explicit_secant_update
 
 
@@ -24,9 +25,7 @@ def reference_secant_absorption(n_trials, seed, start_span=10.0,
         while t1 == t2:
             t1 = rng.uniform(-start_span, start_span)
         x2, x1 = rng.integers(0, 2, size=2) * 2.0 - 1.0
-        state = SecantState(theta_prev2=t2, theta_prev1=t1,
-                            grad_prev2=2.0 * (t2 - x2))
-        theta_new, _ = step_secant(state, 2.0 * (t1 - x1))
+        theta_new = step_secant(t2, t1, 2.0 * (t2 - x2), 2.0 * (t1 - x1))
         one_step_thetas.append(theta_new)
         explicit = explicit_secant_update(t2, t1, x2, x1)
         max_dev = max(max_dev,
@@ -41,12 +40,12 @@ def reference_secant_absorption(n_trials, seed, start_span=10.0,
     finals = np.empty(long_run_trials)
     for trial in range(long_run_trials):
         t2, t1 = rng.uniform(-start_span, start_span, size=2)
-        state = SecantState(theta_prev2=t2, theta_prev1=t1,
-                            grad_prev2=2.0 * (t2 - float(rng.integers(0, 2) * 2 - 1)))
-        theta = t1
+        prev, theta = t2, t1
+        prev_g = 2.0 * (t2 - float(rng.integers(0, 2) * 2 - 1))
         for _ in range(long_run_steps):
             x = float(rng.integers(0, 2) * 2 - 1)
-            theta, state = step_secant(state, 2.0 * (state.theta_prev1 - x))
+            g = 2.0 * (theta - x)
+            theta, prev, prev_g = step_secant(prev, theta, prev_g, g), theta, g
         finals[trial] = abs(theta)
     long_run = OracleReport.make(
         "secant_absorption_long_run", float(np.median(finals)), 0.5, 0.0,

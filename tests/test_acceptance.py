@@ -14,7 +14,7 @@ import pytest
 from quadratic_oracle import quadratic_iters_to_gap
 from sgdlab.harness import (ExperimentConfig, load_config, read_trace,
                             run_experiment, write_trace)
-from sgdlab.optimizers import SecantState, step_momentum, step_secant, step_sgd
+from sgdlab.optimizers import step_momentum, step_secant, step_sgd
 from sgdlab.problems import LeastSquaresProblem
 from sgdlab.verification import (DEFAULT_SEED, hybrid_samples_to_unit_ball,
                                  sgd_samples_to_unit_ball, verify_cv_formula,
@@ -49,8 +49,7 @@ def test_criterion_2_secant_one_step_exactness():
         t2, t1 = rng.uniform(-50.0, 50.0, size=2)
         while t1 == t2:
             t1 = rng.uniform(-50.0, 50.0)
-        state = SecantState(theta_prev2=t2, theta_prev1=t1, grad_prev2=2.0 * t2)
-        theta_new, _ = step_secant(state, 2.0 * t1)
+        theta_new = step_secant(t2, t1, 2.0 * t2, 2.0 * t1)
         worst = max(worst, abs(theta_new))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0

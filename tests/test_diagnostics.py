@@ -173,10 +173,8 @@ class TestSmoothCv:
 
     def test_no_valid_history_raises(self):
         bad = CvEstimate(mean_cost=-1.0, std_cost=1.0, cv=float("nan"), k=5)
-        with pytest.raises(InsufficientDataError):
-            smooth_cv([bad, bad], 5)
-        with pytest.raises(InsufficientDataError):
-            smooth_cv([], 3)
+        assert smooth_cv([bad, bad], 5) is None
+        assert smooth_cv([], 3) is None
 
     @settings(max_examples=300, deadline=None)
     @given(cvs=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
@@ -191,7 +189,6 @@ class TestSmoothCv:
         history = [bad if cv is None else self._est(cv) for cv in cvs]
         valid = [cv for cv in cvs[-window:] if cv is not None]
         if not valid:
-            with pytest.raises(InsufficientDataError):
-                smooth_cv(history, window)
+            assert smooth_cv(history, window) is None
         else:
             assert smooth_cv(history, window).hex() == float(np.median(valid)).hex()

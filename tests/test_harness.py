@@ -91,6 +91,10 @@ class TestConfigValidation:
          "secant takes no momentum"),
         (dict(optimizer="hybrid", alpha_schedule="inverse_t", beta=0.0, beta_policy=""),
          "hybrid takes no momentum"),
+        # float() would read a boolean theta0 as 1.0
+        (dict(theta0=True), "theta0 must be a number"),
+        (dict(theta0=[True]), "theta0 must be a number"),
+        (dict(theta0=[1.0, True]), "theta0 must be a number"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,

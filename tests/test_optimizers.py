@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from sgdlab.errors import ConfigurationError
 from sgdlab.harness import run_hybrid
-from sgdlab.optimizers import (AlphaSchedule, SecantState, SwitchPolicy,
-                               step_momentum, step_secant, step_sgd)
+from sgdlab.optimizers import (AlphaSchedule, SwitchPolicy, step_momentum,
+                               step_secant, step_sgd)
 from sgdlab.problems import LeastSquaresProblem, RademacherProblem, draw_minibatch
 
 
@@ -65,26 +65,20 @@ class TestSgdStep:
 class TestSecantStep:
     def test_deterministic_limit_one_step_exact(self):
         # both samples forced to 0: gradients 2*theta; lands on the minimizer
-        state = SecantState(theta_prev2=5.0, theta_prev1=3.0, grad_prev2=2.0 * 5.0)
-        theta_new, _ = step_secant(state, 2.0 * 3.0)
+        theta_new = step_secant(5.0, 3.0, 2.0 * 5.0, 2.0 * 3.0)
         assert theta_new == 0.0
 
     def test_hand_evaluated_equal_samples(self):
         # thetas (4, 2), both samples 1: explicit form gives (2*1 - 4*1)/(2-1-4+1) = 1
-        state = SecantState(theta_prev2=4.0, theta_prev1=2.0,
-                            grad_prev2=2.0 * (4.0 - 1.0))
-        theta_new, new_state = step_secant(state, 2.0 * (2.0 - 1.0))
+        theta_new = step_secant(4.0, 2.0, 2.0 * (4.0 - 1.0), 2.0 * (2.0 - 1.0))
         assert theta_new == 1.0
-        assert new_state.theta_prev2 == 2.0 and new_state.theta_prev1 == 1.0
 
     def test_equal_iterates_stay_fixed(self):
-        state = SecantState(theta_prev2=2.5, theta_prev1=2.5, grad_prev2=1.0)
-        theta_new, _ = step_secant(state, 7.0)
+        theta_new = step_secant(2.5, 2.5, 1.0, 7.0)
         assert theta_new == 2.5
 
     def test_zero_gradient_difference_stays_fixed(self):
-        state = SecantState(theta_prev2=1.0, theta_prev1=4.0, grad_prev2=3.0)
-        theta_new, _ = step_secant(state, 3.0)
+        theta_new = step_secant(1.0, 4.0, 3.0, 3.0)
         assert theta_new == 4.0
 
     def test_one_step_exactness_random_starts(self):
@@ -93,8 +87,7 @@ class TestSecantStep:
             t2, t1 = rng.uniform(-50.0, 50.0, size=2)
             if t1 == t2:
                 continue
-            state = SecantState(theta_prev2=t2, theta_prev1=t1, grad_prev2=2.0 * t2)
-            theta_new, _ = step_secant(state, 2.0 * t1)
+            theta_new = step_secant(t2, t1, 2.0 * t2, 2.0 * t1)
             assert abs(theta_new) <= 1e-12
 
     def test_generic_agrees_with_explicit_form(self):
@@ -109,9 +102,7 @@ class TestSecantStep:
             denom = t1 - x1 - t2 + x2
             if t1 == t2 or abs(denom) < 0.5:
                 continue
-            state = SecantState(theta_prev2=t2, theta_prev1=t1,
-                                grad_prev2=2.0 * (t2 - x2))
-            theta_new, _ = step_secant(state, 2.0 * (t1 - x1))
+            theta_new = step_secant(t2, t1, 2.0 * (t2 - x2), 2.0 * (t1 - x1))
             assert abs(theta_new - explicit_secant_update(t2, t1, x2, x1)) <= 1e-12
             checked += 1
 
@@ -124,11 +115,10 @@ GRADIENTS = st.sampled_from([0.0, -0.0, 2.0, -2.0]) | st.floats()
 
 
 def scalar_secant_step(t2, t1, g2, g1):
-    """(theta', theta_prev2', theta_prev1', grad_prev2') of one secant step in
-    plain float arithmetic: the reference the array step must match."""
+    """theta' of one secant step in plain float arithmetic: the reference the
+    array step must match."""
     denom = g1 - g2
-    theta = t1 if t1 == t2 or denom == 0.0 else t1 - g1 * (t1 - t2) / denom
-    return theta, t1, theta, g1
+    return t1 if t1 == t2 or denom == 0.0 else t1 - g1 * (t1 - t2) / denom
 
 
 class TestArraySecantStep:
@@ -139,27 +129,18 @@ class TestArraySecantStep:
                    (4.0, 2.0, 0.0, -0.0), (5.0, 3.0, 10.0, 6.0)])
     @example(rows=[(1.0, 2.0, 0.0, 1.0), (-1e308, 1e308, 1.0, 2.0)])
     def test_equals_scalar_step_elementwise(self, rows):
-        """An array state steps each element exactly as the scalar float
-        formula would, and raises ConfigurationError when any element's new
-        iterate is non-finite."""
+        """An array step moves each element exactly as the scalar float
+        formula would where that is finite, and returns a non-finite element,
+        without raising, where the scalar step overflows."""
         t2, t1, g2, g1 = (np.array(column) for column in zip(*rows))
-        scalar = [scalar_secant_step(*row) for row in rows]
-        if not all(math.isfinite(th) for th, *_ in scalar):
-            with pytest.raises(ConfigurationError):
-                step_secant(SecantState(t2, t1, g2), g1)
-            return
-        theta, state = step_secant(SecantState(t2, t1, g2), g1)
-        # tobytes tells -0.0 from 0.0
-        assert theta.tobytes() == np.array([th for th, *_ in scalar]).tobytes()
-        for i, field in enumerate(("theta_prev2", "theta_prev1", "grad_prev2"), start=1):
-            expected = np.array([one[i] for one in scalar])
-            assert getattr(state, field).tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_state_rejects_any_non_finite_iterate(self, bad):
-        for t2, t1 in [([1.0, bad], [2.0, 3.0]), ([1.0, 2.0], [bad, 3.0])]:
-            with pytest.raises(ConfigurationError):
-                SecantState(np.array(t2), np.array(t1), np.zeros(2))
+        theta = step_secant(t2, t1, g2, g1)
+        for th, row in zip(theta, rows):
+            expected = scalar_secant_step(*row)
+            if math.isfinite(expected):
+                # tobytes tells -0.0 from 0.0
+                assert th.tobytes() == np.float64(expected).tobytes()
+            else:
+                assert not np.isfinite(th)
 
 
 class TestHybrid:
@@ -183,13 +164,13 @@ class TestHybrid:
         rng = np.random.default_rng(77)
         theta = 200.0
         second = 100.0
-        state = SecantState(theta, second,
-                            2.0 * (theta - problem.sample(rng, 1)[0]))
-        expect = [theta, second]
+        prev, prev_g = theta, 2.0 * (theta - problem.sample(rng, 1)[0])
+        theta = second
+        expect = [prev, theta]
         for _ in range(50):
-            g = 2.0 * (state.theta_prev1 - problem.sample(rng, 1)[0])
-            t, state = step_secant(state, g)
-            expect.append(t)
+            g = 2.0 * (theta - problem.sample(rng, 1)[0])
+            theta, prev, prev_g = step_secant(prev, theta, prev_g, g), theta, g
+            expect.append(theta)
         assert np.array_equal(run.iterates, np.array(expect))
 
     def test_immediate_switch_is_pure_sgd(self):

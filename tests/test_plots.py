@@ -57,6 +57,20 @@ def test_multiple_traces_overlayed(rademacher_trace, logistic_trace, tmp_path):
     assert risk_svg.count("<polyline") == 2
 
 
+def test_same_named_traces_are_labelled_by_path(rademacher_trace, tmp_path):
+    # what `sgdlab run cfg.yaml --out a` and `--out b` leave behind
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "run.trace.csv")
+        paths[-1].write_bytes(rademacher_trace.read_bytes())
+    emit_plots(paths, tmp_path / "figs")
+    risk_svg = (tmp_path / "figs" / "risk.svg").read_text()
+    assert risk_svg.count("<polyline") == 2
+    for path in paths:
+        assert risk_svg.count(f'font-size="11">{path}<') == 1
+
+
 def test_cv_scatter_spans_epoch_range(rademacher_trace, tmp_path):
     records = read_trace(rademacher_trace)
     epochs = [r.epoch for r in records if r.cv_raw is not None]
