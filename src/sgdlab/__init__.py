@@ -1,7 +1,7 @@
 """sgdlab: stochastic optimization with CV-gated momentum roll-off, a secant
 hybrid for poor starts, and a deterministic benchmark harness."""
 
-from .diagnostics import CvEstimate, RolloffPolicy, estimate_cv, smooth_cv
+from .diagnostics import RolloffPolicy, estimate_cv, smooth_cv
 from .errors import ConfigurationError, InsufficientDataError, TraceFormatError
 from .harness import (ExperimentConfig, HybridRun, RunSummary, TraceRecord,
                       load_config, read_trace, run_experiment, run_grid,
@@ -9,7 +9,7 @@ from .harness import (ExperimentConfig, HybridRun, RunSummary, TraceRecord,
 from .optimizers import AlphaSchedule, SwitchPolicy, step_momentum, step_secant, step_sgd
 from .plots import emit_plots
 from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Minibatch,
-                       Oracle, Problem, RademacherProblem, draw_minibatch,
+                       Problem, RademacherProblem, draw_minibatch,
                        evaluate_minibatch)
 from .verification import OracleReport, run_all as run_verification
 

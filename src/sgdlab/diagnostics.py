@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -18,26 +18,11 @@ from .errors import ConfigurationError, InsufficientDataError
 POLICY_KINDS = ("constant", "cv_threshold", "cv_linear")
 
 
-class CvEstimate(NamedTuple):
-    """Sample mean/std of minibatch costs and their ratio.
-
-    cv is NaN (and valid is False) when the mean is nonpositive; costs are
-    nonnegative by construction everywhere in this package, so that is a
-    defensive path only. std_cost uses the unbiased (k-1) denominator.
-    """
-
-    mean_cost: float
-    std_cost: float
-    cv: float
-    k: int
-
-    @property
-    def valid(self) -> bool:
-        return self.mean_cost > 0.0 and math.isfinite(self.cv)
-
-
-def estimate_cv(costs) -> CvEstimate:
-    """CV of a list of k >= 2 per-sample costs; flags (never raises) on mean <= 0."""
+def estimate_cv(costs) -> Optional[float]:
+    """CV of k >= 2 per-sample costs, or None when it is not a valid CV: a
+    mean <= 0 (costs are nonnegative everywhere in this package, so that is a
+    defensive path only) or a ratio that is not finite. The std uses the
+    unbiased (k-1) denominator."""
     c = np.asarray(costs, dtype=float).reshape(-1)
     n = c.shape[0]
     if n < 2:
@@ -46,10 +31,11 @@ def estimate_cv(costs) -> CvEstimate:
     # the same summation order, so the same bits (np.dot and math.fsum sum in
     # other orders)
     mean = float(np.add.reduce(c)) / n
+    if not mean > 0.0:
+        return None
     d = c - mean
-    std = math.sqrt(float(np.add.reduce(d * d)) / (n - 1))
-    cv = std / mean if mean > 0.0 else float("nan")
-    return CvEstimate(mean_cost=mean, std_cost=std, cv=cv, k=n)
+    cv = math.sqrt(float(np.add.reduce(d * d)) / (n - 1)) / mean
+    return cv if math.isfinite(cv) else None
 
 
 @dataclass(frozen=True)
@@ -94,18 +80,15 @@ class RolloffPolicy:
                    self.beta_max * (self.cv_high - cv) / (self.cv_high - self.cv_low))
 
 
-def smooth_cv(history: Sequence[CvEstimate], window: int) -> Optional[float]:
-    """Median of the valid CV values among the last `window` estimates, or
-    None when the window holds no valid estimate.
+def smooth_cv(history: Iterable[Optional[float]]) -> Optional[float]:
+    """Median of the CV values in `history` that are not None (the estimates
+    that were valid), or None when there is none. The caller bounds the
+    window, e.g. with a deque's maxlen.
 
     The raw per-minibatch estimates are heavy-tailed; the median keeps one
     outlier batch from flipping the roll-off schedule.
     """
-    if window < 1:
-        raise ConfigurationError(f"window must be >= 1, got {window}")
-    recent = history[-window:] if window < len(history) else history
-    # CvEstimate.valid, inline: this runs once per entry per smoothing
-    values = sorted(e.cv for e in recent if e.mean_cost > 0.0 and math.isfinite(e.cv))
+    values = sorted(cv for cv in history if cv is not None)
     if not values:
         return None
     # np.median's value: valid CVs are finite, so no NaN handling is needed

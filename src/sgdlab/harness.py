@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 import yaml
 
-from .diagnostics import CvEstimate, RolloffPolicy, estimate_cv, smooth_cv
+from .diagnostics import RolloffPolicy, estimate_cv, smooth_cv
 from .errors import ConfigurationError, TraceFormatError
 from .optimizers import AlphaSchedule, SwitchPolicy, step_momentum, step_secant, step_sgd
 from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Problem,
@@ -73,12 +73,27 @@ class ExperimentConfig:
     risk_threshold: Optional[float] = None  # summary: iterations to this risk gap
     seed: int = 0
 
-    _INT_KEYS = ("dim", "n_classes", "test_per_class", "problem_seed", "k",
-                 "cv_window", "cv_buffer", "epochs", "epoch_size", "eval_every",
-                 "seed", "train_size")
-    _FLOAT_KEYS = ("condition_number", "noise_std", "separation", "theta0_scale",
-                   "alpha", "beta", "beta_max", "cv_low", "cv_high",
-                   "switch_threshold", "risk_threshold")
+    def __post_init__(self):
+        """Coerce the numeric keys by their annotations, then validate: a
+        config is checked whenever one is built, `dataclasses.replace` included."""
+        for f in fields(self):
+            value, is_int = getattr(self, f.name), f.type in ("int", "Optional[int]")
+            if f.type not in ("int", "Optional[int]", "float", "Optional[float]") or (
+                    value is None and f.type.startswith("Optional")):
+                continue
+            try:
+                # int() and float() would read True as 1 and cut 2.7 to 2
+                if isinstance(value, bool) or (is_int and isinstance(value, float)
+                                               and not value.is_integer()):
+                    raise ValueError(f"expected {'an integer' if is_int else 'a number'}, "
+                                     f"got {value!r}")
+                value = int(value) if is_int else float(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"bad value for config key {f.name!r}: {exc}") from exc
+            if not (is_int or math.isfinite(value)):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
+            object.__setattr__(self, f.name, value)
+        self.validate()
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -88,27 +103,11 @@ class ExperimentConfig:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
-        coerced = dict(raw)
-        try:
-            for key in ExperimentConfig._INT_KEYS + ExperimentConfig._FLOAT_KEYS:
-                value, is_int = coerced.get(key), key in ExperimentConfig._INT_KEYS
-                if value is None:
-                    continue
-                # int() and float() would read True as 1 and cut 2.7 to 2
-                if isinstance(value, bool) or (is_int and isinstance(value, float)
-                                               and not value.is_integer()):
-                    raise ValueError(f"expected {'an integer' if is_int else 'a number'}, "
-                                     f"got {value!r}")
-                coerced[key] = int(value) if is_int else float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad value for config key {key!r}: {exc}") from exc
-        config = ExperimentConfig(**coerced)
-        config.validate()
-        return config
+        return ExperimentConfig(**raw)
 
-    def validate(self) -> Problem:
-        """Raise ConfigurationError for any invalid key; return the problem,
-        which is built to check the keys that depend on it."""
+    def validate(self) -> None:
+        """Raise ConfigurationError for any invalid key; the problem is built
+        to check the keys that depend on it."""
         if self.problem not in PROBLEM_NAMES:
             raise ConfigurationError(
                 f"unknown problem {self.problem!r}; expected one of {PROBLEM_NAMES}")
@@ -116,25 +115,21 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown optimizer {self.optimizer!r}; expected one of {OPTIMIZER_NAMES}")
         for name in ("k", "epochs", "eval_every", "epoch_size", "cv_window"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.cv_buffer < 2:
             raise ConfigurationError(f"cv_buffer must be >= 2, got {self.cv_buffer}")
-        if self.train_size is not None and int(self.train_size) < 1:
+        if self.train_size is not None and self.train_size < 1:
             raise ConfigurationError(f"train_size must be >= 1, got {self.train_size}")
-        if int(self.eval_every) > self.total_iterations():
+        if self.eval_every > self.total_iterations():
             raise ConfigurationError(
                 f"eval_every ({self.eval_every}) exceeds the run's "
                 f"{self.total_iterations()} iterations; the trace would be empty")
         if (self.theta0 is None) == (self.theta0_scale is None):
             raise ConfigurationError("exactly one of theta0 / theta0_scale is required")
-        for name in self._FLOAT_KEYS:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
 
         if self.optimizer in ("sgd", "momentum", "hybrid"):
-            if self.alpha is None or not float(self.alpha) > 0.0:
+            if self.alpha is None or not self.alpha > 0.0:
                 raise ConfigurationError(
                     f"optimizer {self.optimizer!r} needs a positive alpha")
         if self.optimizer != "momentum" and (self.beta is not None or self.beta_policy is not None):
@@ -145,7 +140,7 @@ class ExperimentConfig:
                 raise ConfigurationError("momentum needs 'beta' or 'beta_policy'")
             if self.beta is not None and self.beta_policy is not None:
                 raise ConfigurationError("give either 'beta' or 'beta_policy', not both")
-            if self.beta is not None and not 0.0 <= float(self.beta) < 1.0:
+            if self.beta is not None and not 0.0 <= self.beta < 1.0:
                 raise ConfigurationError(f"beta must be in [0, 1), got {self.beta}")
         if self.optimizer in ("secant", "hybrid"):
             if self.k != 1:
@@ -167,23 +162,23 @@ class ExperimentConfig:
             if n not in (1, problem.dim):
                 raise ConfigurationError(
                     f"theta0 has {n} entries, problem needs {problem.dim}")
-        return problem
 
     def total_iterations(self) -> int:
         """ceil(epochs * epoch_size / k) fresh minibatches, or epochs passes of
         ceil(train_size / k) minibatches over a finite train set."""
-        k = int(self.k)
         if self.train_size is not None:
-            return int(self.epochs) * math.ceil(int(self.train_size) / k)
-        return math.ceil(int(self.epochs) * int(self.epoch_size) / k)
+            return self.epochs * math.ceil(self.train_size / self.k)
+        return math.ceil(self.epochs * self.epoch_size / self.k)
 
     def theta0_values(self) -> np.ndarray:
-        """theta0 as a flat float array (one entry broadcasts to every dim)."""
+        """theta0 as a 1-D float array (one entry broadcasts to every dim)."""
         try:
             if any(isinstance(v, (bool, np.bool_))
                    for v in np.asarray(self.theta0, dtype=object).flat):
                 raise TypeError("float() would read a boolean as a number")
-            values = np.asarray(self.theta0, dtype=float).reshape(-1)
+            values = np.atleast_1d(np.asarray(self.theta0, dtype=float))
+            if values.ndim != 1:
+                raise ValueError("a nested list is not a parameter vector")
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"theta0 must be a number or a list of numbers, got {self.theta0!r}") from exc
@@ -194,7 +189,7 @@ class ExperimentConfig:
     def make_alpha_schedule(self) -> Optional[AlphaSchedule]:
         if self.alpha is None:
             return None
-        return AlphaSchedule(kind=self.alpha_schedule, value=float(self.alpha))
+        return AlphaSchedule(kind=self.alpha_schedule, value=self.alpha)
 
     def make_rolloff_policy(self) -> Optional[RolloffPolicy]:
         """The momentum optimizer's policy; a constant `beta` is the constant
@@ -202,14 +197,14 @@ class ExperimentConfig:
         if self.optimizer != "momentum":
             return None
         if self.beta is not None:
-            return RolloffPolicy("constant", beta_max=float(self.beta))
-        return RolloffPolicy(kind=self.beta_policy, beta_max=float(self.beta_max),
-                             cv_low=float(self.cv_low), cv_high=float(self.cv_high))
+            return RolloffPolicy("constant", beta_max=self.beta)
+        return RolloffPolicy(kind=self.beta_policy, beta_max=self.beta_max,
+                             cv_low=self.cv_low, cv_high=self.cv_high)
 
     def make_switch_policy(self) -> Optional[SwitchPolicy]:
         if self.optimizer != "hybrid":
             return None
-        return SwitchPolicy(kind=self.switch_kind, threshold=float(self.switch_threshold))
+        return SwitchPolicy(kind=self.switch_kind, threshold=self.switch_threshold)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -241,7 +236,7 @@ def initial_theta(config: ExperimentConfig, problem: Problem,
         arr = config.theta0_values()  # validate() checked its length
         return np.full(problem.dim, arr[0]) if arr.shape[0] == 1 else arr
     direction = rng.standard_normal(problem.dim)
-    return float(config.theta0_scale) * direction / np.linalg.norm(direction)
+    return config.theta0_scale * direction / np.linalg.norm(direction)
 
 
 class TraceRecord(NamedTuple):
@@ -284,11 +279,10 @@ class _CvTracker:
     """
 
     def __init__(self, k: int, window: int, buffer_size: int):
-        self.window = window
         self.size = buffer_size
         self.ring = np.empty(2 * buffer_size) if k < 2 else None
         self.seen = 0
-        self.history: deque[CvEstimate] = deque(maxlen=window)
+        self.history: deque[Optional[float]] = deque(maxlen=window)
         self._costs: Optional[np.ndarray] = None
 
     def observe(self, costs: np.ndarray) -> None:
@@ -311,11 +305,10 @@ class _CvTracker:
         if costs.shape[0] < 2:
             # too few costs seen yet, or a short final minibatch of a
             # shuffled epoch
-            return None, smooth_cv(self.history, self.window)
-        est = estimate_cv(costs)
-        self.history.append(est)
-        raw = est.cv if est.valid else None
-        return raw, smooth_cv(self.history, self.window)
+            return None, smooth_cv(self.history)
+        raw = estimate_cv(costs)
+        self.history.append(raw)
+        return raw, smooth_cv(self.history)
 
 
 def _max_abs(theta: np.ndarray):
@@ -343,7 +336,7 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
     secant phase's free second point come first, as iteration 0. `in_secant`
     is the next step's phase; a diverged iterate is the last one yielded.
     """
-    oracle_risk = problem.oracle.true_risk
+    true_risk = problem.true_risk
     tracker = _CvTracker(k, cv_window, cv_buffer)
     policy_driven = policy is not None and policy.kind != "constant"
     cv_switch = switch is not None and switch.kind == "cv"
@@ -395,8 +388,8 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
         # the risk oracle only sees iterates within the limit, whose squares are finite
         risk = None
         diverged = not float(_max_abs(theta)) <= DIVERGENCE_LIMIT
-        if oracle_risk is not None and not diverged:
-            risk = float(oracle_risk(theta))
+        if true_risk is not None and not diverged:
+            risk = float(true_risk(theta))
             diverged = not math.isfinite(risk)
         if in_secant and switch is not None and not diverged:
             in_secant = not switch.fires(float(theta[0]), cv_raw if cv_switch else None)
@@ -421,29 +414,28 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
     either way. theta is validated once, with the config; the loop evaluates
     the problem on it directly.
     """
-    problem = config.validate()
+    problem = build_problem(config)
     rng = np.random.default_rng(config.seed)
     theta = initial_theta(config, problem, rng)
-    k = int(config.k)
-    eval_every = int(config.eval_every)
+    eval_every = config.eval_every
 
     next_samples = None
     if config.train_size is not None:
-        train_size = epoch_denom = int(config.train_size)
+        train_size = epoch_denom = config.train_size
         train = problem.sample(rng, train_size)
 
         def epoch_batches():
-            for _ in range(int(config.epochs)):
+            for _ in range(config.epochs):
                 perm = rng.permutation(train_size)
-                for start in range(0, train_size, k):
-                    yield problem.subset(train, perm[start:start + k])
+                for start in range(0, train_size, config.k):
+                    yield problem.subset(train, perm[start:start + config.k])
 
         next_samples = epoch_batches().__next__
     else:
-        epoch_denom = int(config.epoch_size)
+        epoch_denom = config.epoch_size
 
     has_test_set = isinstance(problem, LogisticBlobsProblem)
-    min_risk = problem.oracle.min_risk if problem.oracle.min_risk is not None else 0.0
+    min_risk = problem.min_risk if problem.min_risk is not None else 0.0
     records: list[TraceRecord] = []
     best_risk: Optional[float] = None
     final_accuracy: Optional[float] = None
@@ -452,10 +444,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
 
     run = _run_loop(
         problem, theta, rng, config.make_alpha_schedule(), config.total_iterations(),
-        k=k, policy=config.make_rolloff_policy(),
+        k=config.k, policy=config.make_rolloff_policy(),
         secant=config.optimizer in ("secant", "hybrid"),
         switch=config.make_switch_policy(), cv_every=eval_every,
-        cv_window=int(config.cv_window), cv_buffer=int(config.cv_buffer),
+        cv_window=config.cv_window, cv_buffer=config.cv_buffer,
         next_samples=next_samples)
     for (iteration, theta, samples_consumed, costs, risk, cv_raw, cv_smoothed,
          alpha_i, beta_i, _, diverged) in run:
@@ -471,7 +463,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
         if best_risk is None or tracked < best_risk:
             best_risk = tracked
         if (config.risk_threshold is not None and iters_to_threshold is None
-                and tracked - min_risk <= float(config.risk_threshold)):
+                and tracked - min_risk <= config.risk_threshold):
             iters_to_threshold = iteration
 
         # --- record ---
@@ -641,40 +633,47 @@ def run_grid(base: ExperimentConfig, momenta: Sequence[float],
     """Cartesian product of (momentum, learning_rate) x seeds.
 
     Each run is the base config with optimizer=momentum, constant schedules,
-    and the given seed; one trace file per run plus a summary CSV of per-cell
-    medians over seeds. Diverged runs are counted and excluded from medians;
-    the grid keeps going.
+    and the given seed; one trace file per run, named by the `:g` forms of its
+    momentum and rate and by its seed, plus a summary CSV of per-cell medians
+    over seeds. Every run's config is built, and so checked, before the first
+    run, and axis values that would share a trace name are rejected. Diverged
+    runs are counted and excluded from medians; the grid keeps going.
     """
     if not momenta or not learning_rates or not seeds:
         raise ConfigurationError("grid axes and seeds must be non-empty")
+    runs = [(mom, lr, [replace(base, optimizer="momentum", beta=mom, beta_policy=None,
+                               alpha=lr, alpha_schedule="constant", seed=seed)
+                       for seed in seeds])
+            for mom in momenta for lr in learning_rates]
+    for axis, labels in (("momenta", [f"{m:g}" for m in momenta]),
+                         ("learning rates", [f"{lr:g}" for lr in learning_rates]),
+                         ("seeds", [cfg.seed for cfg in runs[0][2]])):
+        if len(set(labels)) < len(labels):
+            raise ConfigurationError(f"grid {axis} {labels} would share trace file names")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = []
-    for mom in momenta:
-        for lr in learning_rates:
-            finals, bests, reach, n_div = [], [], [], 0
-            for seed in seeds:
-                cfg = replace(base, optimizer="momentum", beta=float(mom),
-                              beta_policy=None, alpha=float(lr),
-                              alpha_schedule="constant", seed=int(seed))
-                records, summary = run_experiment(cfg)
-                write_trace(records, out_dir / f"trace_mom{mom:g}_lr{lr:g}_seed{seed}.csv")
-                if summary.diverged:
-                    n_div += 1
-                    continue
-                if summary.final_risk is not None:
-                    finals.append(summary.final_risk)
-                if summary.best_risk is not None:
-                    bests.append(summary.best_risk)
-                if summary.iters_to_threshold is not None:
-                    reach.append(summary.iters_to_threshold)
-            med = lambda xs: float(np.median(xs)) if xs else None
-            cells.append(GridCell(
-                momentum=float(mom), learning_rate=float(lr),
-                n_seeds=len(seeds), n_diverged=n_div,
-                median_final_risk=med(finals), median_best_risk=med(bests),
-                median_iters_to_threshold=med(reach),
-            ))
+    for mom, lr, configs in runs:
+        finals, bests, reach, n_div = [], [], [], 0
+        for cfg in configs:
+            records, summary = run_experiment(cfg)
+            write_trace(records, out_dir / f"trace_mom{mom:g}_lr{lr:g}_seed{cfg.seed}.csv")
+            if summary.diverged:
+                n_div += 1
+                continue
+            if summary.final_risk is not None:
+                finals.append(summary.final_risk)
+            if summary.best_risk is not None:
+                bests.append(summary.best_risk)
+            if summary.iters_to_threshold is not None:
+                reach.append(summary.iters_to_threshold)
+        med = lambda xs: float(np.median(xs)) if xs else None
+        cells.append(GridCell(
+            momentum=float(mom), learning_rate=float(lr),
+            n_seeds=len(seeds), n_diverged=n_div,
+            median_final_risk=med(finals), median_best_risk=med(bests),
+            median_iters_to_threshold=med(reach),
+        ))
     with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(GRID_HEADER + "\n")
         for c in cells:

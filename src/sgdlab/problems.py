@@ -9,27 +9,13 @@ so runs are reproducible from a 64-bit seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class Oracle:
-    """Closed-form ground truth, where the problem admits one.
-
-    Absent fields are None. When `minimizer` is set, true_risk(minimizer)
-    equals min_risk to within 1e-12.
-    """
-
-    true_risk: Optional[Callable[[Array], float]] = None
-    true_cv: Optional[Callable[[Array], float]] = None
-    minimizer: Optional[Array] = None
-    min_risk: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -48,7 +34,8 @@ class Problem:
 
     name: str = "problem"
     dim: int = 1
-    oracle: Oracle = Oracle()
+    true_risk = None  # a method true_risk(theta) where the risk has a closed form
+    min_risk: Optional[float] = None  # the risk's minimum, where known
     # True when one sample(rng, m * k) call returns exactly the samples of m
     # successive sample(rng, k) calls, so a run may draw its fresh samples in
     # blocks without changing them. False for problems that interleave two
@@ -164,15 +151,14 @@ class RademacherProblem(Problem):
     name = "rademacher"
     dim = 1
     block_draws = True  # one integers() fill, consumed in draw order
+    min_risk = 1.0
 
-    def __init__(self):
-        self.oracle = Oracle(
-            # the run loop only passes checked (1,) arrays, so no re-check
-            true_risk=lambda th: float(th[0]) ** 2 + 1.0,
-            true_cv=lambda th: 2.0 * abs(_scalar(th)) / (_scalar(th) ** 2 + 1.0),
-            minimizer=np.array([0.0]),
-            min_risk=1.0,
-        )
+    def true_risk(self, theta: Array) -> float:
+        # the run loop only passes checked (1,) arrays, so no re-check
+        return float(theta[0]) ** 2 + 1.0
+
+    def true_cv(self, theta) -> float:
+        return 2.0 * abs(_scalar(theta)) / (_scalar(theta) ** 2 + 1.0)
 
     def sample(self, rng: np.random.Generator, n: int) -> Array:
         return rng.integers(0, 2, size=n) * 2.0 - 1.0  # int64 * float is float64
@@ -234,23 +220,11 @@ class LeastSquaresProblem(Problem):
         rng = np.random.default_rng(seed)
         self.w_star = rng.standard_normal(self.dim)
         self._feature_scale = np.sqrt(self.eigenvalues)
-        self.oracle = Oracle(
-            true_risk=self._residual_var,
-            true_cv=self._cv,
-            minimizer=self.w_star.copy(),
-            min_risk=self.noise_std ** 2,
-        )
+        self.min_risk = self.noise_std ** 2
 
-    def _residual_var(self, theta: Array) -> float:
+    def true_risk(self, theta: Array) -> float:
         delta = np.asarray(theta, dtype=float).reshape(-1) - self.w_star
         return float(np.dot(self.eigenvalues, delta * delta) + self.noise_std ** 2)
-
-    def _cv(self, theta) -> float:
-        # residual is Gaussian, so the cost is s^2 * chi^2_1: CV = sqrt(2)
-        # wherever the residual variance is positive.
-        if self._residual_var(theta) == 0.0:
-            return 0.0
-        return float(np.sqrt(2.0))
 
     def risk_gradient(self, theta) -> Array:
         """Exact gradient of the risk: 2 * eigenvalues * (theta - w_star)."""
@@ -326,7 +300,6 @@ class LogisticBlobsProblem(Problem):
         self.n_classes = int(n_classes)
         self.separation = float(separation)
         self.dim = self.n_classes * (self.n_features + 1)
-        self.oracle = Oracle()
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal((self.n_classes, self.n_features))
         norms = np.linalg.norm(raw, axis=1, keepdims=True)

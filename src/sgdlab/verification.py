@@ -97,7 +97,7 @@ def verify_cv_formula(thetas: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 10.0),
         mean = costs.mean()
         std = costs.std(ddof=1)
         statistic = std / mean
-        expected = problem.oracle.true_cv(np.array([theta]))
+        expected = problem.true_cv(np.array([theta]))
         tolerance = 4.0 * expected ** 2 / np.sqrt(n)
         reports.append(OracleReport.make(
             f"cv_formula_theta_{theta:g}", statistic, expected, tolerance,
@@ -108,11 +108,10 @@ def verify_cv_formula(thetas: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 10.0),
 def verify_cv_asymptote(thetas: Sequence[float] = (1e2, 1e4, 1e6),
                         tolerance: float = 1e-3) -> list[OracleReport]:
     """cv(theta) * |theta| / 2 -> 1 for large |theta|."""
-    oracle = RademacherProblem().oracle
     return [
         OracleReport.make(
             f"cv_asymptote_theta_{theta:g}",
-            oracle.true_cv(np.array([theta])) * abs(theta) / 2.0,
+            RademacherProblem().true_cv(np.array([theta])) * abs(theta) / 2.0,
             1.0, tolerance, "within", 1)
         for theta in thetas
     ]

@@ -122,14 +122,14 @@ def _iters_via_steps(problem, theta0, alpha, beta, gap_target, cap):
     """Official iteration count through the step functions on the exact risk."""
     theta = np.asarray(theta0, dtype=float)
     v = np.zeros(problem.dim)
-    min_risk = problem.oracle.min_risk
+    min_risk = problem.min_risk
     for it in range(1, cap + 1):
         g = problem.risk_gradient(theta)
         if beta == 0.0:
             theta = step_sgd(theta, g, alpha)
         else:
             theta, v = step_momentum(theta, v, g, alpha, beta)
-        if problem.oracle.true_risk(theta) - min_risk <= gap_target:
+        if problem.true_risk(theta) - min_risk <= gap_target:
             return it
     return None
 

@@ -1,36 +1,37 @@
 """CV estimator and roll-off policy checks."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sgdlab.diagnostics import (POLICY_KINDS, CvEstimate, RolloffPolicy,
-                                estimate_cv, smooth_cv)
+from sgdlab.diagnostics import POLICY_KINDS, RolloffPolicy, estimate_cv, smooth_cv
 from sgdlab.errors import ConfigurationError, InsufficientDataError
 from sgdlab.problems import RademacherProblem
 
 
 class TestEstimateCv:
     def test_zero_variance(self):
-        est = estimate_cv([5.0, 5.0, 5.0, 5.0])
-        assert est.cv == 0.0
-        assert est.mean_cost == 5.0 and est.std_cost == 0.0 and est.k == 4
-        assert est.valid
+        assert estimate_cv([5.0, 5.0, 5.0, 5.0]) == 0.0
 
     def test_needs_two_costs(self):
         with pytest.raises(InsufficientDataError):
             estimate_cv([1.0])
 
     def test_nonpositive_mean_flags_invalid(self):
-        est = estimate_cv([-1.0, 1.0])
-        assert not est.valid
-        assert np.isnan(est.cv)
+        assert estimate_cv([-1.0, 1.0]) is None
+        assert estimate_cv([0.0, 0.0]) is None
+
+    def test_non_finite_ratio_is_none(self):
+        # the squared deviations overflow: the std, and so the ratio, is inf
+        with np.errstate(over="ignore"):
+            assert estimate_cv([1.7e308, 1e300]) is None
 
     def test_uses_unbiased_std(self):
         costs = [1.0, 2.0, 4.0]
-        est = estimate_cv(costs)
-        assert est.std_cost == pytest.approx(np.std(costs, ddof=1))
+        assert estimate_cv(costs) == pytest.approx(np.std(costs, ddof=1) / np.mean(costs))
 
     @settings(max_examples=300, deadline=None)
     @given(c=arrays(np.float64, st.integers(2, 300),
@@ -39,32 +40,21 @@ class TestEstimateCv:
     def test_bit_identical_to_numpy_mean_and_std(self, c):
         # lengths 2-300 cross numpy's 8-wide unrolled and 128-element pairwise
         # summation blocks; few distinct values give zeros and ties
-        est = estimate_cv(c)
+        cv = estimate_cv(c)
         mean, std = float(np.mean(c)), float(np.std(c, ddof=1))
-        assert est.mean_cost.hex() == mean.hex()
-        assert est.std_cost.hex() == std.hex()
         if mean > 0.0:
-            assert est.cv.hex() == (std / mean).hex()
+            assert cv.hex() == (std / mean).hex()
         else:
-            assert np.isnan(est.cv) and not est.valid
-
-    def test_estimate_is_an_immutable_tuple(self):
-        est = estimate_cv([1.0, 3.0])
-        assert CvEstimate._fields == ("mean_cost", "std_cost", "cv", "k")
-        assert repr(est) == ("CvEstimate(mean_cost=2.0, std_cost=1.4142135623730951, "
-                             "cv=0.7071067811865476, k=2)")
-        assert est == (2.0, 2.0 ** 0.5, 2.0 ** 0.5 / 2.0, 2) and est.valid
-        with pytest.raises(AttributeError):
-            est.cv = 0.0
+            assert cv is None
 
     @pytest.mark.parametrize("theta,expected", [(1.0, 1.0), (10.0, 20.0 / 101.0)])
     def test_matches_closed_form_on_large_batch(self, theta, expected):
         rng = np.random.default_rng(int(theta) + 40)
         problem = RademacherProblem()
         k = 10 ** 4
-        est = estimate_cv(problem.costs(np.array([theta]), problem.sample(rng, k)))
+        cv = estimate_cv(problem.costs(np.array([theta]), problem.sample(rng, k)))
         # delta-method band: SE(cv_hat) ~ cv^2 / sqrt(k) for this cost
-        assert abs(est.cv - expected) <= 4.0 * expected ** 2 / np.sqrt(k)
+        assert abs(cv - expected) <= 4.0 * expected ** 2 / np.sqrt(k)
 
     @pytest.mark.parametrize("theta", [0.5, 2.0, 10.0])
     def test_mean_estimate_consistent_over_many_batches(self, theta):
@@ -119,9 +109,9 @@ class TestRolloffPolicy:
         assert policy.beta(None) == 0.7
 
     def test_invalid_estimate_falls_back_to_sgd(self):
-        est = estimate_cv([-1.0, 1.0])
+        cv = estimate_cv([-1.0, 1.0])
         for kind in ("cv_threshold", "cv_linear"):
-            assert RolloffPolicy(kind=kind).beta(est.cv if est.valid else None) == 0.0
+            assert RolloffPolicy(kind=kind).beta(cv) == 0.0
 
     @pytest.mark.parametrize("kind", ["constant", "cv_threshold", "cv_linear"])
     def test_monotone_and_bounded(self, kind):
@@ -150,31 +140,25 @@ class TestRolloffPolicy:
 
 
 class TestSmoothCv:
-    def _est(self, cv):
-        return CvEstimate(mean_cost=1.0, std_cost=cv, cv=cv, k=10)
+    """History entries are raw CVs, None where the estimate was invalid; the
+    window is the history's maxlen, as in the run loop's tracker."""
 
     def test_window_one_returns_last(self):
-        history = [self._est(0.3), self._est(0.7)]
-        assert smooth_cv(history, 1) == 0.7
+        assert smooth_cv(deque([0.3, 0.7], maxlen=1)) == 0.7
 
     def test_median_robust_to_outlier(self):
-        history = [self._est(0.1), self._est(100.0), self._est(0.12)]
-        assert smooth_cv(history, 3) == 0.12
+        assert smooth_cv(deque([0.1, 100.0, 0.12], maxlen=3)) == 0.12
 
     def test_constant_history(self):
-        history = [self._est(0.4)] * 7
         for window in (1, 3, 7, 50):
-            assert smooth_cv(history, window) == 0.4
+            assert smooth_cv(deque([0.4] * 7, maxlen=window)) == 0.4
 
     def test_skips_invalid_estimates(self):
-        bad = CvEstimate(mean_cost=-1.0, std_cost=1.0, cv=float("nan"), k=5)
-        history = [self._est(0.2), bad]
-        assert smooth_cv(history, 2) == 0.2
+        assert smooth_cv(deque([0.2, None], maxlen=2)) == 0.2
 
     def test_no_valid_history_raises(self):
-        bad = CvEstimate(mean_cost=-1.0, std_cost=1.0, cv=float("nan"), k=5)
-        assert smooth_cv([bad, bad], 5) is None
-        assert smooth_cv([], 3) is None
+        assert smooth_cv(deque([None, None], maxlen=5)) is None
+        assert smooth_cv(deque([], maxlen=3)) is None
 
     @settings(max_examples=300, deadline=None)
     @given(cvs=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
@@ -185,10 +169,9 @@ class TestSmoothCv:
     @example(cvs=[0.3, 0.1, 0.2], window=3)       # odd count
     def test_equals_numpy_median(self, cvs, window):
         # None stands for an invalid estimate, which the median skips
-        bad = CvEstimate(mean_cost=-1.0, std_cost=1.0, cv=float("nan"), k=5)
-        history = [bad if cv is None else self._est(cv) for cv in cvs]
+        history = deque(cvs, maxlen=window)
         valid = [cv for cv in cvs[-window:] if cv is not None]
         if not valid:
-            assert smooth_cv(history, window) is None
+            assert smooth_cv(history) is None
         else:
-            assert smooth_cv(history, window).hex() == float(np.median(valid)).hex()
+            assert smooth_cv(history).hex() == float(np.median(valid)).hex()

@@ -95,6 +95,13 @@ class TestConfigValidation:
         (dict(theta0=True), "theta0 must be a number"),
         (dict(theta0=[True]), "theta0 must be a number"),
         (dict(theta0=[1.0, True]), "theta0 must be a number"),
+        # a nested list is not flattened into a parameter vector
+        (dict(theta0=[[1.0]]), "theta0 must be a number"),
+        (dict(problem="least_squares", dim=2, theta0=[[1.0, 2.0]]),
+         "theta0 must be a number"),
+        # only the Optional keys take None
+        (dict(k=None), "config key 'k'"),
+        (dict(beta_max=None), "config key 'beta_max'"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,
@@ -102,6 +109,24 @@ class TestConfigValidation:
         base.update(overrides)
         with pytest.raises(ConfigurationError, match=message):
             ExperimentConfig.from_dict(base)
+
+    @pytest.mark.parametrize("changes,message", [
+        (dict(epochs=2.7), "config key 'epochs': expected an integer, got 2.7"),
+        (dict(optimizer="momentum", beta=1.5), "beta must be in"),
+        (dict(theta0=None), "exactly one of theta0"),
+    ])
+    def test_every_built_config_is_checked(self, changes, message):
+        # replace() and direct construction check a config as from_dict does
+        with pytest.raises(ConfigurationError, match=message):
+            dataclasses.replace(make_config(), **changes)
+        fields = {**dataclasses.asdict(make_config()), **changes}
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentConfig(**fields)
+
+    def test_direct_construction_coerces_numeric_keys(self):
+        cfg = ExperimentConfig(theta0=2.0, alpha=1, epochs=2.0, epoch_size=10)
+        assert (cfg.alpha, cfg.epochs) == (1.0, 2)
+        assert (type(cfg.alpha), type(cfg.epochs)) == (float, int)
 
     def test_secant_needs_scalar_problem(self):
         with pytest.raises(ConfigurationError, match="scalar"):
@@ -342,10 +367,7 @@ class TestCvTracker:
             window.append(cost)
             view, want = tracker.trailing_costs(), np.array(window)
             assert view.tobytes() == want.tobytes()
-            want_raw = None
-            if len(window) >= 2:
-                est = estimate_cv(want)
-                want_raw = est.cv if est.valid else None
+            want_raw = estimate_cv(want) if len(window) >= 2 else None
             assert tracker.compute()[0] == want_raw
 
 
@@ -540,6 +562,17 @@ class TestGrid:
         assert accel is not None and plain is not None
         assert accel < plain
 
+    @pytest.mark.parametrize("momenta,rates,seeds", [
+        ([0.9000001, 0.9000002], [2e-4], [0]),  # both print as 0.9
+        ([0.5], [1e-3, 1.0000001e-3], [0]),
+        ([0.5], [1e-3], [3, 3]),
+    ])
+    def test_values_sharing_a_trace_name_are_rejected(self, tmp_path, momenta, rates,
+                                                      seeds):
+        with pytest.raises(ConfigurationError, match="would share trace file names"):
+            run_grid(self._base(), momenta, rates, seeds, tmp_path / "g")
+        assert not (tmp_path / "g").exists()
+
     def test_summary_medians_invariant_under_seed_permutation(self, tmp_path):
         cells_a = run_grid(self._base(), [0.5], [0.001], [1, 2, 3], tmp_path / "a")
         cells_b = run_grid(self._base(), [0.5], [0.001], [3, 1, 2], tmp_path / "b")
@@ -630,6 +663,13 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "g" / "summary.csv").exists()
         assert len(list((tmp_path / "g").glob("trace_*.csv"))) == 4
+
+    def test_grid_bad_momentum_exits_1_before_any_trace(self, tmp_path, capsys):
+        code = cli_main(["grid", "configs/least_squares_poor_start.yaml",
+                         "--momenta", "0.5", "1.5", "--out", str(tmp_path / "g")])
+        assert code == 1
+        assert "beta must be in" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
     def test_verify_cli_quick_reports_known_red(self, tmp_path, capsys):
         # every claim is green except the hybrid-advantage bar, so the

@@ -88,11 +88,11 @@ class TestRademacher:
             [float((2.0 * d).sum()) / samples.shape[0]]).tobytes()
 
     def test_oracle_closed_forms(self):
-        oracle = RademacherProblem().oracle
-        assert oracle.true_cv([0.0]) == 0.0
-        assert oracle.true_cv([1.0]) == 1.0
-        assert abs(oracle.true_cv([10.0]) - 20.0 / 101.0) < 1e-15
-        assert abs(oracle.true_risk(oracle.minimizer) - oracle.min_risk) < 1e-12
+        p = RademacherProblem()
+        assert p.true_cv([0.0]) == 0.0
+        assert p.true_cv([1.0]) == 1.0
+        assert abs(p.true_cv([10.0]) - 20.0 / 101.0) < 1e-15
+        assert abs(p.true_risk(np.zeros(1)) - p.min_risk) < 1e-12
 
     @pytest.mark.parametrize("theta", [0.1, 1.0, 10.0])
     def test_empirical_mean_cost(self, theta):
@@ -117,7 +117,7 @@ class TestRademacher:
         theta = np.array([2.0])
         n = 10 ** 6
         costs = problem.costs(theta, problem.sample(rng, n))
-        deviation = costs - problem.oracle.true_risk(theta)
+        deviation = costs - problem.true_risk(theta)
         assert abs(deviation.mean()) <= 4.0 * (2.0 * 2.0) / np.sqrt(n)
 
 
@@ -142,7 +142,7 @@ class TestLeastSquares:
     def test_risk_at_minimizer_matches_monte_carlo(self):
         noise = 0.1
         p = LeastSquaresProblem(10, 1000.0, noise, seed=1)
-        assert p.oracle.true_risk(p.oracle.minimizer) == pytest.approx(noise ** 2)
+        assert p.true_risk(p.w_star) == pytest.approx(noise ** 2)
         rng = np.random.default_rng(2)
         n = 10 ** 6
         costs = p.costs(p.w_star, p.sample(rng, n))
@@ -156,7 +156,7 @@ class TestLeastSquares:
         theta = p.w_star + 0.5
         n = 10 ** 6
         costs = p.costs(theta, p.sample(rng, n))
-        risk = p.oracle.true_risk(theta)
+        risk = p.true_risk(theta)
         band = 4.0 * np.sqrt(2.0) * risk / np.sqrt(n)  # chi-square cost std
         assert abs(costs.mean() - risk) <= band
 
@@ -177,7 +177,7 @@ class TestLeastSquares:
         for j in range(5):
             e = np.zeros(5)
             e[j] = h
-            fd = (p.oracle.true_risk(theta + e) - p.oracle.true_risk(theta - e)) / (2 * h)
+            fd = (p.true_risk(theta + e) - p.true_risk(theta - e)) / (2 * h)
             assert fd == pytest.approx(p.risk_gradient(theta)[j], rel=1e-6, abs=1e-8)
 
 
