@@ -22,14 +22,12 @@ from .diagnostics import RolloffPolicy, estimate_cv, smooth_cv
 from .errors import ConfigurationError, TraceFormatError
 from .optimizers import AlphaSchedule, SwitchPolicy, step_momentum, step_secant, step_sgd
 from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Problem,
-                       RademacherProblem, SampleStream, _as_theta)
+                       RademacherProblem, _as_theta, minibatches)
 # The run loop calls Problem.evaluate; these stay bound here because
 # perfbench's tracer wraps them at this module.
 from .problems import draw_minibatch, evaluate_minibatch  # noqa: F401
 
 DIVERGENCE_LIMIT = 1e12  # |theta| beyond this is reported as a run failure
-
-TRACE_HEADER = "epoch,iteration,true_risk,est_risk,cv_raw,cv_smoothed,alpha,beta,accuracy,theta_norm"
 
 PROBLEM_NAMES = ("rademacher", "least_squares", "logistic")
 OPTIMIZER_NAMES = ("sgd", "momentum", "secant", "hybrid")
@@ -223,13 +221,20 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_problem(config: ExperimentConfig) -> Problem:
-    if config.problem == "rademacher":
-        return RademacherProblem()
-    if config.problem == "least_squares":
-        return LeastSquaresProblem(config.dim, config.condition_number,
-                                   config.noise_std, config.problem_seed)
-    return LogisticBlobsProblem(config.dim, config.n_classes, config.separation,
-                                config.problem_seed, config.test_per_class)
+    """The config's problem; one too large for numpy to build is a config error."""
+    try:
+        if config.problem == "rademacher":
+            return RademacherProblem()
+        if config.problem == "least_squares":
+            return LeastSquaresProblem(config.dim, config.condition_number,
+                                       config.noise_std, config.problem_seed)
+        return LogisticBlobsProblem(config.dim, config.n_classes, config.separation,
+                                    config.problem_seed, config.test_per_class)
+    except ConfigurationError:
+        raise  # a ValueError itself, with its own message
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise ConfigurationError(
+            f"{config.problem} problem is too large to build: {exc}") from exc
 
 
 def initial_theta(config: ExperimentConfig, problem: Problem,
@@ -253,6 +258,9 @@ class TraceRecord(NamedTuple):
     beta: float
     accuracy: Optional[float]
     theta_norm: float
+
+
+TRACE_HEADER = ",".join(TraceRecord._fields)
 
 
 @dataclass
@@ -314,11 +322,6 @@ class _CvTracker:
         return raw, smooth_cv(self.history)
 
 
-def _max_abs(theta: np.ndarray):
-    """np.abs(theta).max(), NaN included, without max's Python-level wrapper."""
-    return np.maximum.reduce(np.abs(theta))
-
-
 def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
               schedule: Optional[AlphaSchedule], n_iterations: int, *, k: int = 1,
               policy: Optional[RolloffPolicy] = None,
@@ -333,8 +336,8 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
     policy. Secant steps run on the 1-element arrays the loop holds, the same
     array code that verification uses. CV estimates are computed when
     the policy, the cv switch or every `cv_every`-th iteration needs one.
-    Samples come from `next_samples()`, by default a `SampleStream` sized to
-    the run. Yields (iteration, theta, samples consumed, costs, risk, cv_raw,
+    Samples come from `next_samples()`, by default `minibatches` sized to the
+    run. Yields (iteration, theta, samples consumed, costs, risk, cv_raw,
     cv_smoothed, alpha, beta, in_secant, diverged) per iterate; theta0 and the
     secant phase's free second point come first, as iteration 0. `in_secant`
     is the next step's phase; a diverged iterate is the last one yielded.
@@ -359,7 +362,7 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
         yield 0, theta, 0, None, None, None, None, 0.0, 0.0, in_secant, False
     if next_samples is None:
         # a secant phase first spends one sample on the gradient at theta0
-        next_samples = SampleStream(problem, rng, k, n_iterations + int(in_secant)).draw
+        next_samples = minibatches(problem, rng, k, n_iterations + int(in_secant)).__next__
     if in_secant:
         init_costs, init_grad = problem.evaluate(start, next_samples())
         samples += 1
@@ -390,7 +393,7 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
         # an overflowed step leaves inf or NaN in theta, and both fail <= limit;
         # the risk oracle only sees iterates within the limit, whose squares are finite
         risk = None
-        diverged = not float(_max_abs(theta)) <= DIVERGENCE_LIMIT
+        diverged = not float(np.abs(theta).max()) <= DIVERGENCE_LIMIT
         if true_risk is not None and not diverged:
             risk = float(true_risk(theta))
             diverged = not math.isfinite(risk)
@@ -625,8 +628,7 @@ class GridCell(NamedTuple):
     median_iters_to_threshold: Optional[float]
 
 
-GRID_HEADER = ("momentum,learning_rate,n_seeds,n_diverged,"
-               "median_final_risk,median_best_risk,median_iters_to_threshold")
+GRID_HEADER = ",".join(GridCell._fields)
 
 
 def run_grid(base: ExperimentConfig, momenta: Sequence[float],

@@ -24,8 +24,6 @@ def _escape(text: str) -> str:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi == lo:
-        return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -36,10 +34,11 @@ class _Canvas:
         self.parts: list[str] = []
         x0, x1 = xlim
         y0, y1 = ylim
+        # equal limits are widened by more than rounding loses at large magnitudes
         if x1 == x0:
-            x0, x1 = x0 - 0.5, x1 + 0.5
+            x0, x1 = x0 - max(0.5, 1e-6 * abs(x0)), x1 + max(0.5, 1e-6 * abs(x1))
         if y1 == y0:
-            y0, y1 = y0 - 0.5, y1 + 0.5
+            y0, y1 = y0 - max(0.5, 1e-6 * abs(y0)), y1 + max(0.5, 1e-6 * abs(y1))
         self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
         self.parts.append(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '

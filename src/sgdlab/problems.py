@@ -93,7 +93,7 @@ def evaluate_minibatch(problem: Problem, theta, samples) -> Minibatch:
 BLOCK_COORDINATES = 2 ** 16
 
 
-class SampleStream:
+def minibatches(problem: Problem, rng: np.random.Generator, k: int, n_batches: int):
     """A run's fresh minibatches of k samples, in the run's RNG draw order.
 
     Where `problem.block_draws` holds, one `sample` call draws a block of
@@ -102,27 +102,15 @@ class SampleStream:
     problems draw once per minibatch. Both give the same samples, and a run
     that takes all `n_batches` leaves the generator where per-call draws do.
     """
-
-    def __init__(self, problem: Problem, rng: np.random.Generator, k: int,
-                 n_batches: int):
-        self.problem, self.rng, self.k = problem, rng, k
-        self.batches_left = n_batches
-        self.per_block = (max(1, BLOCK_COORDINATES // (k * problem.dim))
-                          if problem.block_draws else 1)
-        self.block = None
-        self.start = self.stop = 0
-
-    def draw(self):
-        if self.per_block == 1:
-            return self.problem.sample(self.rng, self.k)
-        if self.start == self.stop:
-            n = min(self.per_block, self.batches_left)
-            self.batches_left -= n
-            self.block = self.problem.sample(self.rng, n * self.k)
-            self.start, self.stop = 0, n * self.k
-        start = self.start
-        self.start += self.k
-        return self.problem.take(self.block, start, self.start)
+    per_block = BLOCK_COORDINATES // (k * problem.dim) if problem.block_draws else 0
+    while per_block < 2:  # a block of one minibatch is a per-call draw
+        yield problem.sample(rng, k)
+    while n_batches > 0:
+        n = min(per_block, n_batches)
+        n_batches -= n
+        block = problem.sample(rng, n * k)
+        for start in range(0, n * k, k):
+            yield problem.take(block, start, start + k)
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +199,6 @@ class LeastSquaresProblem(Problem):
     def true_risk(self, theta: Array) -> float:
         delta = np.asarray(theta, dtype=float).reshape(-1) - self.w_star
         return float(np.dot(self.eigenvalues, delta * delta) + self.noise_std ** 2)
-
-    def risk_gradient(self, theta) -> Array:
-        """Exact gradient of the risk: 2 * eigenvalues * (theta - w_star)."""
-        delta = np.asarray(theta, dtype=float).reshape(-1) - self.w_star
-        return 2.0 * self.eigenvalues * delta
 
     @property
     def block_draws(self) -> bool:

@@ -4,7 +4,8 @@ Iterates every (alpha, beta) cell of a heavy-ball recurrence on a diagonal
 quadratic simultaneously (beta=0 cells are plain gradient descent) and records
 the first iteration at which each cell's risk gap crosses the target. Kept
 separate from the optimizer step functions so tuned-iteration claims are
-checked against an independent route.
+checked against an independent route. `risk_gradient` gives the exact
+gradient of a least-squares problem's risk for runs on the risk itself.
 """
 
 import numpy as np
@@ -36,3 +37,9 @@ def quadratic_iters_to_gap(eigenvalues, alphas, betas, gap_target, cap):
         if (dead | (reached <= cap)).all():
             break
     return cells, reached
+
+
+def risk_gradient(problem, theta):
+    """Exact gradient of a LeastSquaresProblem's risk: 2 * eigenvalues * (theta - w_star)."""
+    delta = np.asarray(theta, dtype=float).reshape(-1) - problem.w_star
+    return 2.0 * problem.eigenvalues * delta

@@ -9,9 +9,8 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from quadratic_oracle import quadratic_iters_to_gap
+from quadratic_oracle import quadratic_iters_to_gap, risk_gradient
 from sgdlab.harness import (ExperimentConfig, load_config, read_trace,
                             run_experiment, write_trace)
 from sgdlab.optimizers import step_momentum, step_secant, step_sgd
@@ -124,7 +123,7 @@ def _iters_via_steps(problem, theta0, alpha, beta, gap_target, cap):
     v = np.zeros(problem.dim)
     min_risk = problem.min_risk
     for it in range(1, cap + 1):
-        g = problem.risk_gradient(theta)
+        g = risk_gradient(problem, theta)
         if beta == 0.0:
             theta = step_sgd(theta, g, alpha)
         else:

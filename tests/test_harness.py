@@ -9,17 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from sgdlab.cli import main as cli_main
 from sgdlab.errors import ConfigurationError, TraceFormatError
 from sgdlab.diagnostics import estimate_cv
 from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, TraceRecord, _CvTracker,
-                            _max_abs, build_problem, load_config, read_trace,
+                            build_problem, load_config, read_trace,
                             run_experiment, run_grid, run_hybrid, write_trace)
 from sgdlab.optimizers import AlphaSchedule, SwitchPolicy
 from sgdlab.problems import (BLOCK_COORDINATES, LeastSquaresProblem,
-                             RademacherProblem, SampleStream)
+                             RademacherProblem, minibatches)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -106,6 +105,14 @@ class TestConfigValidation:
         (dict(seed=-1), "^seed must be >= 0, got -1$"),
         (dict(problem="least_squares", dim=2, problem_seed=-3),
          "^problem_seed must be >= 0, got -3$"),
+        # too large for numpy to build (every size here is >= 2^47 bytes, so
+        # none is ever allocated): a MemoryError, or numpy's size ValueError
+        (dict(problem="least_squares", dim=10 ** 16),
+         "^least_squares problem is too large to build: Unable to allocate"),
+        (dict(problem="logistic", test_per_class=10 ** 16),
+         "^logistic problem is too large to build: Unable to allocate"),
+        (dict(problem="logistic", n_classes=10 ** 20),
+         "^logistic problem is too large to build: Maximum allowed dimension"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,
@@ -344,17 +351,6 @@ class TestRobbinsMonroRun:
             assert np.isfinite(r.theta_norm)
 
 
-class TestDivergenceGuard:
-    @settings(max_examples=300, deadline=None)
-    @given(theta=arrays(np.float64, st.integers(1, 20), elements=st.one_of(
-        st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e12, -1e12]),
-        st.floats(allow_nan=True, allow_infinity=True))))
-    @example(theta=np.array([-0.0]))
-    @example(theta=np.array([np.nan, 1.0, np.inf]))
-    def test_max_abs_bit_identical_to_abs_max(self, theta):
-        assert np.asarray(_max_abs(theta)).tobytes() == np.abs(theta).max().tobytes()
-
-
 class TestCvTracker:
     @settings(max_examples=200, deadline=None)
     @given(size=st.integers(2, 30),
@@ -398,9 +394,9 @@ class TestSampleStream:
         draw = problem.sample
         problem.sample = lambda rng, n: sample_calls.append(n) or draw(rng, n)
         rng_block, rng_call = np.random.default_rng(5), np.random.default_rng(5)
-        stream = SampleStream(problem, rng_block, k, n_batches)
+        stream = minibatches(problem, rng_block, k, n_batches)
         for _ in range(n_batches):
-            got, want = stream.draw(), draw(rng_call, k)
+            got, want = next(stream), draw(rng_call, k)
             if isinstance(want, tuple):
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
             else:
@@ -616,6 +612,16 @@ class TestCli:
                        "alpha: 0.1\ntest_per_class: -3\n")
         assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
         assert "test_per_class must be >= 1" in capsys.readouterr().err
+
+    def test_run_problem_too_large_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("problem: least_squares\ndim: 10000000000000000\ntheta0: 0.0\n"
+                       "optimizer: sgd\nalpha: 0.1\n")
+        assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: least_squares problem is too large to build")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_run_secant_overflow_exits_2(self, tmp_path):
         cfg = tmp_path / "overflow.yaml"

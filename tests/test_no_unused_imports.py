@@ -1,4 +1,4 @@
-"""Every name a `src/sgdlab` module imports is used in that module.
+"""Every name a `src/sgdlab` module or a `tests` file imports is used in that file.
 
 No linter runs on this project, and a deletion easily leaves an import behind.
 `__init__.py` re-exports by importing, and a statement marked `# noqa: F401`
@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sgdlab"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "sgdlab"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -98,3 +98,20 @@ def test_labels_are_xml_escaped(rademacher_trace, tmp_path):
         texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "a&b<c" in texts
     assert {p.name for p in written} == {"risk.svg", "cv_scatter.svg"}
+
+
+def test_flat_series_of_large_magnitude_plots(tmp_path):
+    # the risk stays at 1e18, where a +/-0.5 widening of the equal y limits
+    # rounds away; the flat line is drawn across the middle of the plot
+    cfg = ExperimentConfig.from_dict(dict(
+        problem="rademacher", theta0=1e9, optimizer="sgd", k=1, alpha=5e-324,
+        alpha_schedule="inverse_t", epochs=1, epoch_size=50, eval_every=1, seed=0))
+    records, _ = run_experiment(cfg)
+    assert {r.true_risk for r in records} == {1e18}
+    path = tmp_path / "flat.csv"
+    write_trace(records, path)
+    written = emit_plots([path], tmp_path / "figs")
+    assert "risk.svg" in {p.name for p in written}
+    points = re.search(r'<polyline points="([^"]+)"',
+                       (tmp_path / "figs" / "risk.svg").read_text()).group(1)
+    assert {p.split(",")[1] for p in points.split()} == {"225.00"}
