@@ -8,9 +8,8 @@ from .harness import (ExperimentConfig, HybridRun, RunSummary, TraceRecord,
                       run_hybrid, write_trace)
 from .optimizers import AlphaSchedule, SwitchPolicy, step_momentum, step_secant, step_sgd
 from .plots import emit_plots
-from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Minibatch,
-                       Problem, RademacherProblem, draw_minibatch,
-                       evaluate_minibatch)
+from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Problem,
+                       RademacherProblem)
 from .verification import OracleReport, run_all as run_verification
 
 __version__ = "0.1.0"

@@ -259,6 +259,11 @@ class TraceRecord(NamedTuple):
     accuracy: Optional[float]
     theta_norm: float
 
+    @property
+    def risk(self) -> float:
+        """true_risk where the record carries it, est_risk otherwise."""
+        return self.true_risk if self.true_risk is not None else self.est_risk
+
 
 TRACE_HEADER = ",".join(TraceRecord._fields)
 
@@ -495,11 +500,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
             ))
             last_record_epoch = epoch
 
-    final_risk = records[-1].true_risk if records and records[-1].true_risk is not None else None
-    if final_risk is None and records:
-        final_risk = records[-1].est_risk
     summary = RunSummary(
-        final_risk=final_risk,
+        final_risk=records[-1].risk if records else None,
         best_risk=best_risk,
         samples=samples_consumed,
         iterations=iteration,

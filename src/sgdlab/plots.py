@@ -6,6 +6,7 @@ exactly the epoch range present in the traces.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -58,12 +59,16 @@ class _Canvas:
             self.parts.append(
                 f'<text x="{px}" y="{by + 20}" text-anchor="middle" '
                 f'font-family="sans-serif" font-size="11">{xv:g}</text>')
+        # 4 significant digits, or enough that a band narrow against its
+        # magnitude still reads as distinct ticks (4 where the ratio is inf/NaN)
+        ratio = 4.0 * max(abs(y0), abs(y1)) / (y1 - y0)
+        digits = 1 + math.ceil(math.log10(ratio)) if 1e3 < ratio < math.inf else 4
         for yv in _ticks(y0, y1):
             py = self.py(yv)
             self.parts.append(f'<line x1="{bx - 5}" y1="{py}" x2="{bx}" y2="{py}" stroke="black"/>')
             self.parts.append(
                 f'<text x="{bx - 8}" y="{py + 4}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">{yv:.4g}</text>')
+                f'font-family="sans-serif" font-size="11">{yv:.{digits}g}</text>')
         self.parts.append(
             f'<text x="{(bx + tx) / 2}" y="{HEIGHT - 12}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{_escape(xlabel)}</text>')
@@ -137,13 +142,9 @@ def _chart(traces: dict[str, list[TraceRecord]], value_of, title: str,
     return canvas.render()
 
 
-def _risk_value(r: TraceRecord):
-    return r.true_risk if r.true_risk is not None else r.est_risk
-
-
 FIGURES = (
     # (filename, description, value extractor, title, ylabel, scatter)
-    ("risk.svg", "risk", _risk_value, "Risk vs epoch", "risk", False),
+    ("risk.svg", "risk", lambda r: r.risk, "Risk vs epoch", "risk", False),
     ("accuracy.svg", "accuracy", lambda r: r.accuracy,
      "Test accuracy vs epoch", "accuracy", False),
     ("cv_scatter.svg", "cv_raw", lambda r: r.cv_raw,

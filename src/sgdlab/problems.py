@@ -148,13 +148,9 @@ class RademacherProblem(Problem):
         # add.reduce is what .sum() and np.mean call, without their wrappers
         return d * d, np.array([float(np.add.reduce(2.0 * d)) / d.shape[0]])
 
-    # costs and mean_gradient repeat Problem's, here and on LeastSquaresProblem,
-    # because perfbench's tracer wraps them on each class
-    def costs(self, theta: Array, samples: Array) -> Array:
-        return self.evaluate(theta, samples)[0]
-
-    def mean_gradient(self, theta: Array, samples: Array) -> Array:
-        return self.evaluate(theta, samples)[1]
+    # bound here and on LeastSquaresProblem because perfbench's tracer wraps
+    # them in each class's __dict__
+    costs, mean_gradient = Problem.costs, Problem.mean_gradient
 
     def subset(self, samples: Array, idx) -> Array:
         return samples[idx]
@@ -218,11 +214,7 @@ class LeastSquaresProblem(Problem):
         r = features @ theta - targets
         return r * r, (2.0 / r.shape[0]) * (features.T @ r)
 
-    def costs(self, theta: Array, samples) -> Array:
-        return self.evaluate(theta, samples)[0]
-
-    def mean_gradient(self, theta: Array, samples) -> Array:
-        return self.evaluate(theta, samples)[1]
+    costs, mean_gradient = Problem.costs, Problem.mean_gradient
 
     def take(self, block, start: int, stop: int):
         # BLAS may sum a row's dot product in a different order inside a

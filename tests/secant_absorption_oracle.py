@@ -33,7 +33,7 @@ def reference_secant_absorption(n_trials, seed, start_span=10.0,
         if abs(abs(theta_new) - 1.0) <= 1e-9:
             hits += 1
     band = 3.0 * np.sqrt(0.25 / n_trials)
-    one_step = OracleReport.make(
+    one_step = OracleReport(
         "secant_absorption_one_step", hits / n_trials, 0.5, band, "at_least",
         n_trials, note=f"max scaled |generic - explicit| = {max_dev:.3g}")
 
@@ -47,7 +47,7 @@ def reference_secant_absorption(n_trials, seed, start_span=10.0,
             g = 2.0 * (theta - x)
             theta, prev, prev_g = step_secant(prev, theta, prev_g, g), theta, g
         finals[trial] = abs(theta)
-    long_run = OracleReport.make(
+    long_run = OracleReport(
         "secant_absorption_long_run", float(np.median(finals)), 0.5, 0.0,
         "at_least", long_run_trials,
         note=f"{long_run_steps} iterations per trial")

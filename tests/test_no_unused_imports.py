@@ -1,4 +1,5 @@
-"""Every name a `src/sgdlab` module or a `tests` file imports is used in that file.
+"""Every name a `src/sgdlab` module, a `tests` file or a `perfbench` script
+imports is used in that file.
 
 No linter runs on this project, and a deletion easily leaves an import behind.
 `__init__.py` re-exports by importing, and a statement marked `# noqa: F401`
@@ -14,7 +15,8 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "sgdlab"
 MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-           + sorted(TESTS.glob("*.py")))
+           + sorted(TESTS.glob("*.py"))
+           + sorted((TESTS.parent / "perfbench").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -112,6 +112,20 @@ def test_flat_series_of_large_magnitude_plots(tmp_path):
     write_trace(records, path)
     written = emit_plots([path], tmp_path / "figs")
     assert "risk.svg" in {p.name for p in written}
-    points = re.search(r'<polyline points="([^"]+)"',
-                       (tmp_path / "figs" / "risk.svg").read_text()).group(1)
+    svg = (tmp_path / "figs" / "risk.svg").read_text()
+    points = re.search(r'<polyline points="([^"]+)"', svg).group(1)
     assert {p.split(",")[1] for p in points.split()} == {"225.00"}
+    # the band is 2e12 wide at 1e18: each y tick needs more than 4 digits
+    y_labels = re.findall(r'text-anchor="end" font-family="sans-serif" '
+                          r'font-size="11">([^<]+)</text>', svg)
+    assert len(y_labels) == len(set(y_labels)) == 5
+
+
+def test_infinite_risk_still_plots(rademacher_trace, tmp_path):
+    records = read_trace(rademacher_trace)
+    records[-1] = records[-1]._replace(true_risk=float("inf"))
+    path = tmp_path / "inf.csv"
+    write_trace(records, path)
+    written = emit_plots([path], tmp_path / "figs")
+    assert "risk.svg" in {p.name for p in written}
+    assert (tmp_path / "figs" / "risk.svg").read_text().count("<polyline") == 1

@@ -1,6 +1,8 @@
 """Verification-oracle mechanics: pass rules, determinism, report format, and
 the closed-form cross-checks at reduced sample sizes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ class TestClaimPasses:
             claim_passes(1.0, 1.0, 0.0, "near")
 
     def test_report_pass_is_pure_function_of_fields(self):
-        r = OracleReport.make("x", 0.5, 0.5, 0.0, "at_least", 10)
+        r = OracleReport("x", 0.5, 0.5, 0.0, "at_least", 10)
         assert r.passed == claim_passes(r.statistic, r.expected, r.tolerance,
                                         r.comparison)
 
@@ -214,10 +216,18 @@ class TestHybridAdvantage:
         (1e150, 1e160),  # the first step overflows to -inf
     ])
     def test_sgd_run_rejects_non_finite_iterate(self, theta0, coefficient):
-        with pytest.raises(ConfigurationError, match="non-finite"), \
-                np.errstate(over="ignore"):
-            sgd_samples_to_unit_ball(theta0, np.random.default_rng(0),
-                                     coefficient=coefficient)
+        # a non-finite start is a config error; a finite start that overflows
+        # is a diverged run, which has no count
+        rng = np.random.default_rng(0)
+        if math.isfinite(theta0):
+            assert sgd_samples_to_unit_ball(theta0, rng, coefficient=coefficient) is None
+        else:
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                sgd_samples_to_unit_ball(theta0, rng, coefficient=coefficient)
+
+    def test_hybrid_run_that_overflows_has_no_count(self):
+        # the start is finite; the secant steps from it overflow
+        assert hybrid_samples_to_unit_ball(1e308, np.random.default_rng(0)) is None
 
     def test_hybrid_needs_at_least_two_samples(self):
         for seed in range(20):
@@ -245,6 +255,14 @@ class TestFullSuite:
         assert failed == {"hybrid_advantage_ratio"}
         assert len(reports) == 14
 
+    def test_reports_hold_python_scalars(self):
+        from sgdlab.verification import run_all
+        for r in run_all(quick=True):
+            assert type(r.passed) is bool, r.claim_id
+            assert type(r.n) is int, r.claim_id
+            for value in (r.statistic, r.expected, r.tolerance):
+                assert type(value) is float, r.claim_id
+
     def test_deterministic(self):
         from sgdlab.verification import run_all
         assert run_all(quick=True, seed=123) == run_all(quick=True, seed=123)
@@ -263,7 +281,7 @@ class TestReportOutput:
         assert fields[5] == "true"
 
     def test_format_report_lines(self):
-        ok = OracleReport.make("demo", 1.0, 1.0, 0.1, "within", 5)
-        bad = OracleReport.make("demo2", 2.0, 1.0, 0.1, "within", 5, note="n")
+        ok = OracleReport("demo", 1.0, 1.0, 0.1, "within", 5)
+        bad = OracleReport("demo2", 2.0, 1.0, 0.1, "within", 5, note="n")
         assert format_report(ok).startswith("[ ok ]")
         assert format_report(bad).startswith("[FAIL]")
