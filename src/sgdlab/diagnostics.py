@@ -67,7 +67,7 @@ class RolloffPolicy:
         """Momentum for a CV value; None (no valid estimate) falls back to plain SGD."""
         if self.kind == "constant":
             return self.beta_max
-        if cv is None or not np.isfinite(cv):
+        if cv is None or not math.isfinite(cv):
             return 0.0
         if self.kind == "cv_threshold":
             return self.beta_max if cv < self.cv_high else 0.0

@@ -133,6 +133,8 @@ class ExperimentConfig:
             if self.alpha is None or not self.alpha > 0.0:
                 raise ConfigurationError(
                     f"optimizer {self.optimizer!r} needs a positive alpha")
+        elif self.alpha is not None:
+            raise ConfigurationError("secant takes no learning rate; use optimizer: hybrid")
         if self.optimizer != "momentum" and (self.beta is not None or self.beta_policy is not None):
             raise ConfigurationError(
                 f"{self.optimizer} takes no momentum settings; use optimizer: momentum")
@@ -301,10 +303,13 @@ class _CvTracker:
         self.history: deque[Optional[float]] = deque(maxlen=window)
         self._costs: Optional[np.ndarray] = None
 
-    def observe(self, costs: np.ndarray) -> None:
+    def observe(self, costs) -> None:
+        """Take a minibatch's costs: an array, or one float cost where a float
+        iterate met a float sample."""
         if self.ring is not None:
             i = self.seen % self.size
-            self.ring[i] = self.ring[i + self.size] = costs[0]
+            self.ring[i] = self.ring[i + self.size] = (
+                costs if isinstance(costs, float) else costs[0])
             self.seen += 1
         else:
             self._costs = costs
@@ -327,6 +332,14 @@ class _CvTracker:
         return raw, smooth_cv(self.history)
 
 
+def _magnitude(theta) -> float:
+    """|theta| of a float iterate, the largest |entry| of an array one; NaN
+    where theta holds a NaN, which fails the guard's `<=` as inf does."""
+    if isinstance(theta, float):
+        return abs(theta)
+    return float(np.abs(theta).max())
+
+
 def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
               schedule: Optional[AlphaSchedule], n_iterations: int, *, k: int = 1,
               policy: Optional[RolloffPolicy] = None,
@@ -338,8 +351,11 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
     With `secant`, secant steps until `switch` fires (never when it is None),
     then SGD on `schedule` with its index restarted at 1; heavy-ball momentum
     when a roll-off `policy` is given, a constant `beta` being the constant
-    policy. Secant steps run on the 1-element arrays the loop holds, the same
-    array code that verification uses. CV estimates are computed when
+    policy. A `float_iterate` problem's iterate is a Python float, taken from
+    the (1,) array `theta`; other problems keep their array, whatever its
+    size. The secant phase still steps through the one array `step_secant`,
+    the code verification uses, and a float iterate takes `float()` of its
+    0-d result. CV estimates are computed when
     the policy, the cv switch or every `cv_every`-th iteration needs one.
     Samples come from `next_samples()`, by default `minibatches` sized to the
     run. Yields (iteration, theta, samples consumed, costs, risk, cv_raw,
@@ -351,19 +367,21 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
     tracker = _CvTracker(k, cv_window, cv_buffer)
     policy_driven = policy is not None and policy.kind != "constant"
     cv_switch = switch is not None and switch.kind == "cv"
-    v = np.zeros(problem.dim)
+    as_float = problem.float_iterate
+    if as_float:
+        theta = float(theta[0])
+    v = 0.0  # beta * 0.0 + g is 0.0 + g, as it was with a zero array
     samples = 0
     sgd_iter = 0
 
     # the switch is checked on theta0 and on the free second start point
     # before any sample is spent, so an immediate switch is a pure SGD run
-    in_secant = secant and not (switch is not None and switch.fires(float(theta[0]), None))
+    in_secant = secant and not (switch is not None and switch.fires(theta, None))
     yield 0, theta, 0, None, None, None, None, 0.0, 0.0, in_secant, False
     if in_secant:
         start = theta
-        second = float(start[0]) / 2.0 if start[0] != 0.0 else 1.0
-        theta = np.array([second])
-        in_secant = switch is None or not switch.fires(second, None)
+        theta = start / 2.0 if start != 0.0 else (1.0 if as_float else np.ones(1))
+        in_secant = switch is None or not switch.fires(theta, None)
         yield 0, theta, 0, None, None, None, None, 0.0, 0.0, in_secant, False
     if next_samples is None:
         # a secant phase first spends one sample on the gradient at theta0
@@ -376,14 +394,15 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
 
     for iteration in range(1, n_iterations + 1):
         costs, grad = problem.evaluate(theta, next_samples())
-        samples += costs.shape[0]
+        samples += 1 if isinstance(costs, float) else costs.shape[0]
         tracker.observe(costs)
         cv_due = (cv_switch if in_secant else policy_driven) or (
             cv_every is not None and iteration % cv_every == 0)
         cv_raw, cv_smoothed = tracker.compute() if cv_due else (None, None)
         if in_secant:
             alpha_i = beta_i = 0.0
-            theta, prev_theta, prev_grad = step_secant(prev_theta, theta, prev_grad, grad), theta, grad
+            step = step_secant(prev_theta, theta, prev_grad, grad)
+            theta, prev_theta, prev_grad = float(step) if as_float else step, theta, grad
         else:
             sgd_iter += 1
             alpha_i = schedule.alpha(sgd_iter)
@@ -398,12 +417,12 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
         # an overflowed step leaves inf or NaN in theta, and both fail <= limit;
         # the risk oracle only sees iterates within the limit, whose squares are finite
         risk = None
-        diverged = not float(np.abs(theta).max()) <= DIVERGENCE_LIMIT
+        diverged = not _magnitude(theta) <= DIVERGENCE_LIMIT
         if true_risk is not None and not diverged:
-            risk = float(true_risk(theta))
+            risk = true_risk(theta)
             diverged = not math.isfinite(risk)
         if in_secant and switch is not None and not diverged:
-            in_secant = not switch.fires(float(theta[0]), cv_raw if cv_switch else None)
+            in_secant = not switch.fires(theta, cv_raw if cv_switch else None)
         yield (iteration, theta, samples, costs, risk, cv_raw, cv_smoothed,
                alpha_i, beta_i, in_secant, diverged)
         if diverged:
@@ -467,9 +486,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
         record_due = iteration % eval_every == 0
 
         # --- tracking ---
-        # add.reduce / n is what np.mean computes, without its wrappers
-        mean_cost = (float(np.add.reduce(costs)) / costs.shape[0]
-                     if risk is None or record_due else None)
+        mean_cost = None
+        if risk is None or record_due:
+            # add.reduce / n is what np.mean computes, without its wrappers
+            mean_cost = (costs if isinstance(costs, float)
+                         else float(np.add.reduce(costs)) / costs.shape[0])
         tracked = risk if risk is not None else mean_cost
         if best_risk is None or tracked < best_risk:
             best_risk = tracked
@@ -495,8 +516,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
                 alpha=float(alpha_i),
                 beta=float(beta_i),
                 accuracy=accuracy,
-                # what np.linalg.norm computes for a 1-D array
-                theta_norm=math.sqrt(float(theta.dot(theta))),
+                # what np.linalg.norm computes for a 1-D array, whose dot
+                # of one entry is its square
+                theta_norm=math.sqrt(theta * theta if isinstance(theta, float)
+                                     else float(theta.dot(theta))),
             ))
             last_record_epoch = epoch
 
@@ -506,7 +529,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
         samples=samples_consumed,
         iterations=iteration,
         diverged=diverged,
-        final_theta=theta,
+        final_theta=np.atleast_1d(theta),
         final_accuracy=final_accuracy,
         iters_to_threshold=iters_to_threshold,
     )
@@ -551,7 +574,7 @@ def run_hybrid(problem: Problem, theta0: float, switch_policy: SwitchPolicy,
     for _, theta, n, *_, in_secant, diverged in _run_loop(
             problem, _as_theta(theta0, problem.dim), rng, sgd_schedule, max_iterations,
             secant=True, switch=switch_policy, next_samples=per_step):
-        log.append((float(theta[0]), n, in_secant))
+        log.append((theta if isinstance(theta, float) else float(theta[0]), n, in_secant))
         if stop_radius is not None and abs(log[-1][0]) <= stop_radius:
             break
     iterates, samples, phases = zip(*log)

@@ -42,6 +42,11 @@ class Problem:
     # samples start:stop of a block one `sample` call drew, exactly as a
     # `sample` call for only those samples returns them.
     block_draws: bool = False
+    # True when the run loop holds the iterate as a Python float instead of a
+    # (1,) array: the same IEEE double operations in the same order, without
+    # numpy's per-call cost. Such a problem's evaluate and true_risk take a
+    # float theta, and its one-sample fresh minibatches are floats.
+    float_iterate: bool = False
 
     def sample(self, rng: np.random.Generator, n: int):
         """Draw n i.i.d. samples; returns a problem-specific batch payload."""
@@ -49,7 +54,10 @@ class Problem:
 
     def evaluate(self, theta: Array, samples) -> tuple[Array, Array]:
         """(per-sample costs, shape (n,); mean gradient, shape (dim,)) at a
-        validated theta, sharing the work the two have in common."""
+        validated theta, sharing the work the two have in common. A
+        `float_iterate` problem also takes a float theta: one float sample
+        gives a float cost and gradient, an array of samples a cost array and
+        a float mean gradient."""
         raise NotImplementedError
 
     def costs(self, theta: Array, samples) -> Array:
@@ -101,6 +109,8 @@ def minibatches(problem: Problem, rng: np.random.Generator, k: int, n_batches: i
     coordinates, and never more minibatches than the run still needs. Other
     problems draw once per minibatch. Both give the same samples, and a run
     that takes all `n_batches` leaves the generator where per-call draws do.
+    A `float_iterate` problem's blocked one-sample minibatches are floats, one
+    `tolist()` per block.
     """
     per_block = BLOCK_COORDINATES // (k * problem.dim) if problem.block_draws else 0
     while per_block < 2:  # a block of one minibatch is a per-call draw
@@ -109,6 +119,9 @@ def minibatches(problem: Problem, rng: np.random.Generator, k: int, n_batches: i
         n = min(per_block, n_batches)
         n_batches -= n
         block = problem.sample(rng, n * k)
+        if k == 1 and problem.float_iterate:
+            yield from block.tolist()
+            continue
         for start in range(0, n * k, k):
             yield problem.take(block, start, start + k)
 
@@ -127,11 +140,14 @@ class RademacherProblem(Problem):
 
     dim = 1
     block_draws = True  # one integers() fill, consumed in draw order
+    float_iterate = True
     min_risk = 1.0
 
-    def true_risk(self, theta: Array) -> float:
-        # the run loop only passes checked (1,) arrays, so no re-check
-        return float(theta[0]) ** 2 + 1.0
+    def true_risk(self, theta) -> float:
+        # the run loop passes its float iterate, or a checked (1,) array on
+        # the array route, so no re-check
+        t = theta if isinstance(theta, float) else float(theta[0])
+        return t ** 2 + 1.0
 
     def true_cv(self, theta: float) -> float:
         return 2.0 * abs(theta) / (theta ** 2 + 1.0)
@@ -139,14 +155,16 @@ class RademacherProblem(Problem):
     def sample(self, rng: np.random.Generator, n: int) -> Array:
         return rng.integers(0, 2, size=n) * 2.0 - 1.0  # int64 * float is float64
 
-    def evaluate(self, theta: Array, samples: Array) -> tuple[Array, Array]:
-        d = theta - samples  # the (1,) theta broadcasts against the (k,) samples
-        if d.shape[0] == 1:
-            # exact: add.reduce of one value is 0.0 + it, which is it unless it
-            # is -0.0, and theta - (+/-1) never is; dividing by 1 changes nothing
+    def evaluate(self, theta, samples):
+        d = theta - samples  # a float theta or a (1,) one broadcasts against (k,) samples
+        if isinstance(d, float):  # a float iterate and one float sample
             return d * d, 2.0 * d
-        # add.reduce is what .sum() and np.mean call, without their wrappers
-        return d * d, np.array([float(np.add.reduce(2.0 * d)) / d.shape[0]])
+        # exact for one sample: add.reduce of one value is 0.0 + it, which is
+        # it unless it is -0.0, and theta - (+/-1) never is; dividing by 1
+        # changes nothing. add.reduce is what .sum() and np.mean call.
+        mean = (2.0 * float(d[0]) if d.shape[0] == 1
+                else float(np.add.reduce(2.0 * d)) / d.shape[0])
+        return d * d, mean if isinstance(theta, float) else np.array([mean])
 
     # bound here and on LeastSquaresProblem because perfbench's tracer wraps
     # them in each class's __dict__

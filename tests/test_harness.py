@@ -14,7 +14,7 @@ from sgdlab.cli import main as cli_main
 from sgdlab.errors import ConfigurationError, TraceFormatError
 from sgdlab.diagnostics import estimate_cv
 from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, TraceRecord, _CvTracker,
-                            build_problem, load_config, read_trace,
+                            _run_loop, build_problem, load_config, read_trace,
                             run_experiment, run_grid, run_hybrid, write_trace)
 from sgdlab.optimizers import AlphaSchedule, SwitchPolicy
 from sgdlab.problems import (BLOCK_COORDINATES, LeastSquaresProblem,
@@ -113,6 +113,9 @@ class TestConfigValidation:
          "^logistic problem is too large to build: Unable to allocate"),
         (dict(problem="logistic", n_classes=10 ** 20),
          "^logistic problem is too large to build: Maximum allowed dimension"),
+        # a secant run has no learning rate to apply the alpha to
+        (dict(optimizer="secant", alpha=0.5, alpha_schedule="inverse_t"),
+         "secant takes no learning rate"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,
@@ -399,6 +402,9 @@ class TestSampleStream:
             got, want = next(stream), draw(rng_call, k)
             if isinstance(want, tuple):
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            elif k == 1 and problem.float_iterate:
+                # a float-iterate problem's one-sample minibatch is the float
+                assert type(got) is float and [got] == want.tolist()
             else:
                 assert np.array_equal(got, want)
         assert all(n * problem.dim <= max(BLOCK_COORDINATES, k * problem.dim)
@@ -527,6 +533,92 @@ class TestHybridRun:
         for _ in range(int(run.samples[-1])):
             RademacherProblem().sample(rng_call, 1)
         assert rng.bit_generator.state == rng_call.bit_generator.state
+
+
+def _rademacher(**overrides):
+    return ExperimentConfig.from_dict({**dict(
+        problem="rademacher", theta0=5.0, optimizer="sgd", k=1, alpha=0.5,
+        alpha_schedule="inverse_t", epochs=2, epoch_size=500, eval_every=1,
+        seed=11), **overrides})
+
+
+def _iterate_types(problem, secant=False):
+    run = _run_loop(problem, np.array([40.0]), np.random.default_rng(0),
+                    AlphaSchedule(kind="inverse_t", value=0.5), 20, secant=secant,
+                    switch=SwitchPolicy("abs_theta", 1.0) if secant else None)
+    return {type(step[1]) for step in run}
+
+
+class TestFloatIterate:
+    """A `float_iterate` problem's run on Python floats matches, bit for bit,
+    the same run on (1,) arrays, which patching the declaration off forces."""
+
+    def test_route_follows_the_declaration(self, monkeypatch):
+        for secant in (False, True):
+            assert _iterate_types(RademacherProblem(), secant) == {float}
+            assert _iterate_types(LeastSquaresProblem(1, 1.0, 0.0, 0), secant) == {np.ndarray}
+        monkeypatch.setattr(RademacherProblem, "float_iterate", False)
+        assert _iterate_types(RademacherProblem()) == {np.ndarray}
+
+    @pytest.mark.parametrize("config,diverges", [
+        pytest.param(_rademacher(), False, id="sgd-k1"),
+        pytest.param(_rademacher(k=7, theta0=3.0, alpha=0.1, alpha_schedule="constant",
+                                 epoch_size=700, eval_every=2), False, id="sgd-k7"),
+        pytest.param(_rademacher(optimizer="momentum", beta_policy="cv_linear", k=100,
+                                 theta0=50.0, alpha=0.05, alpha_schedule="constant",
+                                 epoch_size=10000), False, id="momentum-cv_linear-k100"),
+        pytest.param(_rademacher(optimizer="hybrid", theta0=1e4, switch_threshold=1.0),
+                     False, id="hybrid-abs_theta"),
+        pytest.param(_rademacher(optimizer="hybrid", theta0=1e4, switch_kind="cv",
+                                 switch_threshold=0.5, eval_every=3),
+                     False, id="hybrid-cv"),
+        pytest.param(_rademacher(train_size=50, epochs=3, alpha=0.05,
+                                 alpha_schedule="constant"), False, id="finite-k1"),
+        # 52 = 17 * 3 + 1: each epoch ends on a one-sample minibatch
+        pytest.param(_rademacher(optimizer="momentum", beta=0.5, train_size=52, epochs=3,
+                                 k=3, alpha=0.05, alpha_schedule="constant"),
+                     False, id="finite-k3"),
+        pytest.param(_rademacher(optimizer="momentum", beta=0.9, alpha=5.0,
+                                 alpha_schedule="constant"), True, id="momentum-diverges"),
+        pytest.param(_rademacher(optimizer="secant", theta0=1.0e308, alpha=None),
+                     True, id="secant-overflow"),
+    ])
+    def test_run_experiment_identical_on_arrays(self, config, diverges, monkeypatch):
+        records, summary = run_experiment(config)
+        assert summary.diverged == diverges
+        monkeypatch.setattr(RademacherProblem, "float_iterate", False)
+        records_off, summary_off = run_experiment(config)
+        # repr tells -0.0 from 0.0, and a NaN equals itself
+        assert repr(records) == repr(records_off)
+        assert summary.final_theta.shape == summary_off.final_theta.shape == (1,)
+        assert summary.final_theta.tobytes() == summary_off.final_theta.tobytes()
+        assert repr(dataclasses.replace(summary, final_theta=None)) == repr(
+            dataclasses.replace(summary_off, final_theta=None))
+
+    @pytest.mark.parametrize("theta0,switch,stop_radius", [
+        pytest.param(1e4, SwitchPolicy("abs_theta", 1.0), 1.0, id="hybrid-stop_radius"),
+        # the switch fires on theta0: pure SGD, one draw per step
+        pytest.param(1e4, SwitchPolicy("abs_theta", 2e4), 1.0, id="sgd-stop_radius"),
+        pytest.param(500.0, SwitchPolicy("cv", 0.9), None, id="hybrid-cv"),
+        pytest.param(1e308, SwitchPolicy("abs_theta", 0.0), None, id="secant-overflow"),
+    ])
+    def test_run_hybrid_identical_on_arrays(self, theta0, switch, stop_radius, monkeypatch):
+        def run():
+            rng = np.random.default_rng(17)
+            result = run_hybrid(RademacherProblem(), theta0, switch,
+                                AlphaSchedule(kind="inverse_t", value=0.45), rng, 2000,
+                                stop_radius=stop_radius)
+            return result, rng.bit_generator.state
+
+        (floats, state), diverges = run(), theta0 == 1e308
+        monkeypatch.setattr(RademacherProblem, "float_iterate", False)
+        arrays, state_off = run()
+        assert floats.diverged == arrays.diverged == diverges
+        assert floats.iterates.dtype == arrays.iterates.dtype == np.float64
+        assert floats.iterates.tobytes() == arrays.iterates.tobytes()
+        assert floats.samples.tolist() == arrays.samples.tolist()
+        assert floats.switch_index == arrays.switch_index
+        assert state == state_off
 
 
 class TestGrid:

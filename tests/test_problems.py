@@ -88,6 +88,22 @@ class TestRademacher:
         assert grad.tobytes() == np.array(
             [float((2.0 * d).sum()) / samples.shape[0]]).tobytes()
 
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_float_theta_bit_identical_to_array_theta(self, k):
+        # the run loop's float iterate: a cost array and a float mean gradient
+        # for array samples, a float cost and gradient for one float sample
+        problem = RademacherProblem()
+        samples = problem.sample(np.random.default_rng(k), k)
+        costs, grad = problem.evaluate(np.array([-2.5]), samples)
+        f_costs, f_grad = problem.evaluate(-2.5, samples)
+        assert type(f_grad) is float
+        assert f_costs.tobytes() == costs.tobytes() and [f_grad] == grad.tolist()
+        if k == 1:
+            cost, g = problem.evaluate(-2.5, float(samples[0]))
+            assert type(cost) is type(g) is float
+            assert [cost, g] == costs.tolist() + grad.tolist()
+        assert problem.true_risk(-2.5) == problem.true_risk(np.array([-2.5])) == 7.25
+
     def test_oracle_closed_forms(self):
         p = RademacherProblem()
         assert p.true_cv(0.0) == 0.0
