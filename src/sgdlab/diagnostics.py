@@ -29,12 +29,13 @@ def estimate_cv(costs) -> Optional[float]:
         raise InsufficientDataError(f"CV estimation needs at least 2 costs, got {n}")
     # the add.reduce passes np.mean and np.std(ddof=1) make, called directly:
     # the same summation order, so the same bits (np.dot and math.fsum sum in
-    # other orders)
+    # other orders); d is squared in place, as np.std does, to spare a
+    # temporary the size of the costs
     mean = float(np.add.reduce(c)) / n
     if not mean > 0.0:
         return None
     d = c - mean
-    cv = math.sqrt(float(np.add.reduce(d * d)) / (n - 1)) / mean
+    cv = math.sqrt(float(np.add.reduce(np.multiply(d, d, out=d))) / (n - 1)) / mean
     return cv if math.isfinite(cv) else None
 
 

@@ -22,7 +22,7 @@ from .diagnostics import RolloffPolicy, estimate_cv, smooth_cv
 from .errors import ConfigurationError, TraceFormatError
 from .optimizers import AlphaSchedule, SwitchPolicy, step_momentum, step_secant, step_sgd
 from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Problem,
-                       RademacherProblem, _as_theta, minibatches)
+                       RademacherProblem, _as_theta, minibatches, too_large)
 # The run loop calls Problem.evaluate; these stay bound here because
 # perfbench's tracer wraps them at this module.
 from .problems import draw_minibatch, evaluate_minibatch  # noqa: F401
@@ -152,10 +152,12 @@ class ExperimentConfig:
             if self.train_size is not None:
                 raise ConfigurationError(
                     "secant/hybrid draw fresh samples; train_size is not supported")
-        # constructing these validates their own fields
-        self.make_alpha_schedule()
-        self.make_rolloff_policy()
-        self.make_switch_policy()
+        # constructing these checks their keys, also where the optimizer
+        # ignores them; alpha itself is checked above
+        AlphaSchedule(kind=self.alpha_schedule)
+        RolloffPolicy(kind="constant" if self.beta_policy is None else self.beta_policy,
+                      beta_max=self.beta_max, cv_low=self.cv_low, cv_high=self.cv_high)
+        SwitchPolicy(kind=self.switch_kind, threshold=self.switch_threshold)
         problem = build_problem(self)
         if self.optimizer in ("secant", "hybrid") and problem.dim != 1:
             raise ConfigurationError(
@@ -224,7 +226,7 @@ def load_config(path) -> ExperimentConfig:
 
 def build_problem(config: ExperimentConfig) -> Problem:
     """The config's problem; one too large for numpy to build is a config error."""
-    try:
+    with too_large(f"{config.problem} problem is too large to build"):
         if config.problem == "rademacher":
             return RademacherProblem()
         if config.problem == "least_squares":
@@ -232,11 +234,6 @@ def build_problem(config: ExperimentConfig) -> Problem:
                                        config.noise_std, config.problem_seed)
         return LogisticBlobsProblem(config.dim, config.n_classes, config.separation,
                                     config.problem_seed, config.test_per_class)
-    except ConfigurationError:
-        raise  # a ValueError itself, with its own message
-    except (MemoryError, OverflowError, ValueError) as exc:
-        raise ConfigurationError(
-            f"{config.problem} problem is too large to build: {exc}") from exc
 
 
 def initial_theta(config: ExperimentConfig, problem: Problem,
@@ -355,10 +352,10 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
     the (1,) array `theta`; other problems keep their array, whatever its
     size. The secant phase still steps through the one array `step_secant`,
     the code verification uses, and a float iterate takes `float()` of its
-    0-d result. CV estimates are computed when
-    the policy, the cv switch or every `cv_every`-th iteration needs one.
-    Samples come from `next_samples()`, by default `minibatches` sized to the
-    run. Yields (iteration, theta, samples consumed, costs, risk, cv_raw,
+    0-d result. CV estimates are computed when the policy, the cv switch or
+    every `cv_every`-th iteration needs one. Samples come from `minibatches`
+    sized to the run, or from the `next_samples()` finite-set epochs pass.
+    Yields (iteration, theta, samples consumed, costs, risk, cv_raw,
     cv_smoothed, alpha, beta, in_secant, diverged) per iterate; theta0 and the
     secant phase's free second point come first, as iteration 0. `in_secant`
     is the next step's phase; a diverged iterate is the last one yielded.
@@ -452,7 +449,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
     next_samples = None
     if config.train_size is not None:
         train_size = epoch_denom = config.train_size
-        train = problem.sample(rng, train_size)
+        with too_large(f"train_size = {train_size} is too large to draw"):
+            train = problem.sample(rng, train_size)
 
         def epoch_batches():
             for _ in range(config.epochs):
@@ -560,20 +558,18 @@ def run_hybrid(problem: Problem, theta0: float, switch_policy: SwitchPolicy,
     (or 1.0 when theta0 == 0), so the initial bracket is wide for poor starts;
     a switch that fires on theta0 makes the run pure SGD. The cv switch
     reads the CV of the trailing 100 costs, the `cv_buffer` default. A run
-    that does not diverge leaves `rng` where one draw per sample would. With
-    `stop_radius` the run ends at its first iterate with |theta| <=
-    stop_radius, theta0 included, and draws one sample per step, never one
-    it does not use.
+    that takes all its steps leaves `rng` where one draw per sample would.
+    With `stop_radius` the run ends at its first iterate with |theta| <=
+    stop_radius, theta0 included, and draws as `minibatches` says.
     """
     if problem.dim != 1:
         raise ConfigurationError("hybrid/secant runs need a scalar problem")
     if max_iterations < 0:
         raise ConfigurationError(f"max_iterations must be >= 0, got {max_iterations}")
-    per_step = None if stop_radius is None else (lambda: problem.sample(rng, 1))
     log = []  # (iterate, samples consumed, in the secant phase after it)
     for _, theta, n, *_, in_secant, diverged in _run_loop(
             problem, _as_theta(theta0, problem.dim), rng, sgd_schedule, max_iterations,
-            secant=True, switch=switch_policy, next_samples=per_step):
+            secant=True, switch=switch_policy):
         log.append((theta if isinstance(theta, float) else float(theta[0]), n, in_secant))
         if stop_radius is not None and abs(log[-1][0]) <= stop_radius:
             break

@@ -8,6 +8,7 @@ so runs are reproducible from a 64-bit seed.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -96,6 +97,18 @@ def evaluate_minibatch(problem: Problem, theta, samples) -> Minibatch:
     return Minibatch(samples=samples, costs=costs, mean_gradient=mean_gradient)
 
 
+@contextmanager
+def too_large(what: str):
+    """numpy failing to allocate or size an array the config asked for is a
+    ConfigurationError: `what` says which key, then numpy's reason."""
+    try:
+        yield
+    except ConfigurationError:
+        raise  # a ValueError itself, with its own message
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise ConfigurationError(f"{what}: {exc}") from exc
+
+
 # Most sample coordinates (k * dim per minibatch) one block draw may hold, so
 # a run's memory stays flat in dim.
 BLOCK_COORDINATES = 2 ** 16
@@ -104,26 +117,30 @@ BLOCK_COORDINATES = 2 ** 16
 def minibatches(problem: Problem, rng: np.random.Generator, k: int, n_batches: int):
     """A run's fresh minibatches of k samples, in the run's RNG draw order.
 
-    Where `problem.block_draws` holds, one `sample` call draws a block of
-    minibatches and each is taken from it in turn: at most BLOCK_COORDINATES
-    coordinates, and never more minibatches than the run still needs. Other
+    Where `problem.block_draws` holds, one `sample` call draws a block of 1,
+    2, 4, ... minibatches (at most BLOCK_COORDINATES coordinates, never more
+    than the run still needs) and each is taken from it in turn, so a run that
+    stops early has drawn under twice the samples it spent plus one. Other
     problems draw once per minibatch. Both give the same samples, and a run
     that takes all `n_batches` leaves the generator where per-call draws do.
     A `float_iterate` problem's blocked one-sample minibatches are floats, one
-    `tolist()` per block.
+    `tolist()` per block. A draw too large for numpy is a config error on k.
     """
-    per_block = BLOCK_COORDINATES // (k * problem.dim) if problem.block_draws else 0
-    while per_block < 2:  # a block of one minibatch is a per-call draw
-        yield problem.sample(rng, k)
-    while n_batches > 0:
-        n = min(per_block, n_batches)
-        n_batches -= n
-        block = problem.sample(rng, n * k)
-        if k == 1 and problem.float_iterate:
-            yield from block.tolist()
-            continue
-        for start in range(0, n * k, k):
-            yield problem.take(block, start, start + k)
+    cap = BLOCK_COORDINATES // (k * problem.dim) if problem.block_draws else 0
+    drawn = 0
+    # only a draw allocates here, and only the first, of k samples, can be too large
+    with too_large(f"k = {k} is too large to draw a minibatch"):
+        while cap < 2:  # a block of one minibatch is a per-call draw
+            yield problem.sample(rng, k)
+        while drawn < n_batches:
+            n = min(drawn + 1, cap, n_batches - drawn)  # 1, 2, 4, ... up to the cap
+            drawn += n
+            block = problem.sample(rng, n * k)
+            if k == 1 and problem.float_iterate:
+                yield from block.tolist()
+                continue
+            for start in range(0, n * k, k):
+                yield problem.take(block, start, start + k)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +176,8 @@ class RademacherProblem(Problem):
         d = theta - samples  # a float theta or a (1,) one broadcasts against (k,) samples
         if isinstance(d, float):  # a float iterate and one float sample
             return d * d, 2.0 * d
-        # exact for one sample: add.reduce of one value is 0.0 + it, which is
-        # it unless it is -0.0, and theta - (+/-1) never is; dividing by 1
-        # changes nothing. add.reduce is what .sum() and np.mean call.
-        mean = (2.0 * float(d[0]) if d.shape[0] == 1
-                else float(np.add.reduce(2.0 * d)) / d.shape[0])
+        # add.reduce is what .sum() and np.mean call
+        mean = float(np.add.reduce(2.0 * d)) / d.shape[0]
         return d * d, mean if isinstance(theta, float) else np.array([mean])
 
     # bound here and on LeastSquaresProblem because perfbench's tracer wraps

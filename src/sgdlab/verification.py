@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .diagnostics import estimate_cv
 from .errors import ConfigurationError
 from .harness import run_hybrid
 from .optimizers import AlphaSchedule, SwitchPolicy, step_secant
@@ -75,7 +76,7 @@ def explicit_secant_update(theta_prev2, theta_prev1, x_prev2, x_prev1):
 
 def verify_cv_formula(thetas: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 10.0),
                       n: int = 10 ** 6, seed: int = DEFAULT_SEED) -> list[OracleReport]:
-    """Empirical std/mean of the cost over n +/-1 draws vs 2|theta|/(theta^2+1).
+    """`estimate_cv` of the cost over n +/-1 draws vs 2|theta|/(theta^2+1).
 
     Tolerance is a 4-sigma delta-method band: the sample std of a symmetric
     two-point cost concentrates at O(1/n), so the estimator noise is dominated
@@ -86,10 +87,7 @@ def verify_cv_formula(thetas: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 10.0),
     reports = []
     for theta in thetas:
         xs = problem.sample(rng, n)
-        costs = (theta - xs) ** 2
-        mean = costs.mean()
-        std = costs.std(ddof=1)
-        statistic = float(std / mean)
+        statistic = estimate_cv((theta - xs) ** 2)
         expected = problem.true_cv(theta)
         tolerance = float(4.0 * expected ** 2 / np.sqrt(n))
         reports.append(OracleReport(

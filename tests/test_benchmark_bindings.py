@@ -13,7 +13,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import tracer  # noqa: E402
-from sgdlab import harness  # noqa: E402
+from sgdlab import harness, verification  # noqa: E402
 from sgdlab.harness import ExperimentConfig  # noqa: E402
 
 
@@ -45,3 +45,17 @@ def test_run_loop_calls_the_traced_bindings():
     # ROADMAP item 4a describes
     for name in ("step_sgd", "step_momentum", "step_secant", "estimate_cv", "smooth_cv"):
         assert calls[f"harness.{name}"] > 0, name
+
+
+def test_verification_calls_the_traced_bindings():
+    """verify's runs and secant trials go through the bindings its layers
+    count; bypassing one would drop `optimizers.run_hybrid` or
+    `optimizers.step_secant` to 0."""
+    with tracer.Tracer() as trace:
+        verification.verify_hybrid_advantage(n_seeds=2)
+        verification.verify_secant_absorption(n_trials=10, long_run_trials=5,
+                                              long_run_steps=3)
+    calls, _ = trace.by_span_name()
+    for name in ("verification.run_hybrid", "verification.step_secant",
+                 "harness.step_secant"):
+        assert calls[name] > 0, name

@@ -116,6 +116,13 @@ class TestConfigValidation:
         # a secant run has no learning rate to apply the alpha to
         (dict(optimizer="secant", alpha=0.5, alpha_schedule="inverse_t"),
          "secant takes no learning rate"),
+        # schedule, roll-off and switch keys are checked where the optimizer
+        # ignores them too
+        (dict(switch_kind="bogus"), "unknown switch policy 'bogus'"),
+        (dict(optimizer="secant", alpha=None, alpha_schedule="bogus"),
+         "unknown learning-rate schedule 'bogus'"),
+        (dict(beta_max=5.0), r"beta_max must be in \[0, 1\), got 5.0"),
+        (dict(cv_low=3.0, cv_high=1.0), "need 0 <= cv_low < cv_high"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,
@@ -377,22 +384,23 @@ class TestCvTracker:
 class TestSampleStream:
     """Block-drawn fresh samples equal per-call draws, sample for sample."""
 
-    @pytest.mark.parametrize("make,k,n_batches", [
-        # k = 7 does not divide the 2^16-sample block; 9363 batches need one
-        # full block (9362 batches) and one batch of a second
-        pytest.param(lambda: RademacherProblem(), 7, 9363, id="rademacher-k7"),
-        pytest.param(lambda: RademacherProblem(), 1, 70000, id="rademacher-k1"),
-        # k * dim = 7000: blocks of 9 batches, and a short last one
+    @pytest.mark.parametrize("make,k,n_batches,blocks", [
+        # blocks of 1, 2, 4, ... batches: 13 blocks hold 8191 batches, the
+        # last 1172 stay under the cap (k = 7 does not divide 2^16: 9362)
+        pytest.param(lambda: RademacherProblem(), 7, 9363,
+                     [2 ** i for i in range(13)] + [1172], id="rademacher-k7"),
+        pytest.param(lambda: RademacherProblem(), 1, 70000,
+                     [2 ** i for i in range(16)] + [4465], id="rademacher-k1"),
+        # k * dim = 7000: the cap is 9 batches, then a short last block
         pytest.param(lambda: LeastSquaresProblem(1000, 10.0, 0.0, 3), 7, 40,
-                     id="least_squares-dim1000-k7"),
+                     [1, 2, 4, 8, 9, 9, 7], id="least_squares-dim1000-k7"),
         # k * dim = 90000 exceeds the cap: one batch per draw
         pytest.param(lambda: LeastSquaresProblem(3000, 10.0, 0.0, 4), 30, 3,
-                     id="least_squares-dim3000-k30"),
+                     [1, 1, 1], id="least_squares-dim3000-k30"),
     ])
-    def test_blocks_match_per_call_draws(self, make, k, n_batches):
+    def test_blocks_match_per_call_draws(self, make, k, n_batches, blocks):
         problem = make()
-        assert problem.block_draws
-        per_block = max(1, BLOCK_COORDINATES // (k * problem.dim))
+        assert problem.block_draws and sum(blocks) == n_batches
         sample_calls = []
         draw = problem.sample
         problem.sample = lambda rng, n: sample_calls.append(n) or draw(rng, n)
@@ -409,7 +417,7 @@ class TestSampleStream:
                 assert np.array_equal(got, want)
         assert all(n * problem.dim <= max(BLOCK_COORDINATES, k * problem.dim)
                    for n in sample_calls)
-        assert len(sample_calls) == -(-n_batches // per_block)
+        assert sample_calls == [n * k for n in blocks]
         # no sample drawn beyond the last batch
         assert rng_block.bit_generator.state == rng_call.bit_generator.state
 
@@ -478,7 +486,7 @@ class TestHybridRun:
         assert summary.diverged and summary.iterations == 1 and records == []
         assert np.geterr() == errors  # the runs restore numpy's error state
 
-    def test_stop_radius_checks_every_iterate_and_draws_per_step(self):
+    def test_stop_radius_checks_every_iterate(self):
         problem, schedule = RademacherProblem(), AlphaSchedule(kind="inverse_t", value=0.5)
         # theta0 inside the ball: the run ends before drawing anything
         rng = np.random.default_rng(3)
@@ -490,16 +498,36 @@ class TestHybridRun:
         run = run_hybrid(problem, 1.5, SwitchPolicy("abs_theta", 0.0), schedule,
                          np.random.default_rng(3), 50, stop_radius=1.0)
         assert run.iterates.tolist() == [1.5, 0.75] and run.samples.tolist() == [0, 0]
-        # from a poor start the run ends at its first iterate inside, having
-        # drawn only the samples it spent
-        rng = np.random.default_rng(4)
-        run = run_hybrid(problem, 1e4, SwitchPolicy("abs_theta", 0.0), schedule, rng, 200,
-                         stop_radius=1.0)
+        # from a poor start the run ends at its first iterate inside
+        run = run_hybrid(problem, 1e4, SwitchPolicy("abs_theta", 0.0), schedule,
+                         np.random.default_rng(4), 200, stop_radius=1.0)
         assert abs(run.iterates[-1]) <= 1.0 and np.all(np.abs(run.iterates[:-1]) > 1.0)
-        rng_call = np.random.default_rng(4)
-        for _ in range(int(run.samples[-1])):
-            problem.sample(rng_call, 1)
-        assert rng.bit_generator.state == rng_call.bit_generator.state
+
+    @pytest.mark.parametrize("threshold,max_iterations", [
+        # pure SGD: the switch fires on theta0
+        pytest.param(np.finfo(float).max, 10 ** 5, id="sgd"),
+        pytest.param(1.0, 200, id="hybrid"),  # secant until the unit ball
+    ])
+    @pytest.mark.parametrize("coefficient", [0.45, 1.25])
+    def test_stop_radius_run_draws_float_samples_in_blocks(self, threshold, max_iterations,
+                                                           coefficient):
+        problem = RademacherProblem()
+        drawn, seen = [], []
+        draw, evaluate = problem.sample, problem.evaluate
+        problem.sample = lambda rng, n: drawn.append(n) or draw(rng, n)
+        problem.evaluate = lambda theta, x: seen.append(type(x)) or evaluate(theta, x)
+        args = (SwitchPolicy("abs_theta", threshold),
+                AlphaSchedule(kind="inverse_t", value=coefficient))
+        run = run_hybrid(problem, 1e4, *args, np.random.default_rng(6), max_iterations,
+                         stop_radius=1.0)
+        spent = int(run.samples[-1])
+        assert abs(run.iterates[-1]) <= 1.0 and spent > 1
+        # the float route, and never twice the samples spent
+        assert seen == [float] * spent and sum(drawn) < 2 * spent + 1
+        # the same samples as the run that goes on past the ball
+        full = run_hybrid(RademacherProblem(), 1e4, *args, np.random.default_rng(6),
+                          max_iterations)
+        assert full.iterates[:run.iterates.shape[0]].tolist() == run.iterates.tolist()
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("switch_kind,threshold", [
@@ -713,6 +741,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: least_squares problem is too large to build")
         assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("keys,message", [
+        # every size is >= 2^47 bytes, so nothing is ever allocated
+        pytest.param("k: 10000000000000000\nepoch_size: 10000000000000000\n",
+                     "k = 10000000000000000 is too large to draw a minibatch: "
+                     "Unable to allocate", id="k-1e16"),
+        pytest.param("k: 100000000000000000000\n",
+                     "k = 100000000000000000000 is too large to draw a minibatch: "
+                     "Maximum allowed", id="k-1e20"),
+        pytest.param("train_size: 10000000000000000\n",
+                     "train_size = 10000000000000000 is too large to draw: "
+                     "Unable to allocate", id="train_size-1e16"),
+        pytest.param("train_size: 100000000000000000000\n",
+                     "train_size = 100000000000000000000 is too large to draw: "
+                     "Maximum allowed", id="train_size-1e20"),
+    ])
+    def test_run_draw_too_large_exits_1(self, tmp_path, capsys, keys, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("problem: rademacher\ntheta0: 2.0\noptimizer: sgd\nalpha: 0.1\n" + keys)
+        assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not list(tmp_path.glob("*.csv"))
 
     def test_run_secant_overflow_exits_2(self, tmp_path):
