@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -295,9 +296,11 @@ class _CvTracker:
 
     def __init__(self, k: int, window: int, buffer_size: int):
         self.size = buffer_size
-        self.ring = np.empty(2 * buffer_size) if k < 2 else None
+        with too_large(f"cv_buffer = {buffer_size} is too large to hold"):
+            self.ring = np.empty(2 * buffer_size) if k < 2 else None
         self.seen = 0
-        self.history: deque[Optional[float]] = deque(maxlen=window)
+        with too_large(f"cv_window = {window} is too large to hold"):
+            self.history: deque[Optional[float]] = deque(maxlen=window)
         self._costs: Optional[np.ndarray] = None
 
     def observe(self, costs) -> None:
@@ -504,21 +507,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
             if has_test_set and (last_record_epoch is None or epoch > last_record_epoch):
                 est_risk, accuracy = problem.test_metrics(theta)
                 final_accuracy = accuracy
-            records.append(TraceRecord(
-                epoch=int(epoch),
-                iteration=iteration,
-                true_risk=risk,
-                est_risk=est_risk,
-                cv_raw=cv_raw,
-                cv_smoothed=cv_smoothed,
-                alpha=float(alpha_i),
-                beta=float(beta_i),
-                accuracy=accuracy,
-                # what np.linalg.norm computes for a 1-D array, whose dot
-                # of one entry is its square
-                theta_norm=math.sqrt(theta * theta if isinstance(theta, float)
-                                     else float(theta.dot(theta))),
-            ))
+            records.append(TraceRecord(  # positional: keywords cost twice as much
+                int(epoch), iteration, risk, est_risk, cv_raw, cv_smoothed,
+                float(alpha_i), float(beta_i), accuracy,
+                # theta_norm: what np.linalg.norm computes for a 1-D array,
+                # whose dot of one entry is its square
+                math.sqrt(theta * theta if isinstance(theta, float)
+                          else float(theta.dot(theta)))))
             last_record_epoch = epoch
 
     summary = RunSummary(
@@ -583,12 +578,17 @@ def run_hybrid(problem: Problem, theta0: float, switch_policy: SwitchPolicy,
 # Trace files
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+@lru_cache(maxsize=256)  # a trace holds a few type patterns
+def _row_template(types: tuple) -> str:
+    """`%` template of a CSV line with fields of these types: None prints
+    nothing (`%.0s`), an int its digits, anything else 17 significant digits."""
+    return ",".join("%.0s" if t is type(None) else "%d" if issubclass(t, (int, np.integer))
+                    else "%.17g" for t in types) + "\n"
+
+
+def _csv_line(row: tuple) -> str:
+    """A trace record or grid cell as one CSV line, its fields in header order."""
+    return _row_template(tuple(map(type, row))) % row
 
 
 def write_trace(records: Sequence[TraceRecord], path) -> None:
@@ -598,8 +598,7 @@ def write_trace(records: Sequence[TraceRecord], path) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for r in records:  # a record iterates its fields in header order
-                fh.write(",".join(map(_fmt, r)) + "\n")
+            fh.writelines(map(_csv_line, records))
     except OSError as exc:
         raise OSError(f"cannot write trace {path}: {exc}") from exc
 
@@ -621,9 +620,14 @@ def read_trace(path) -> list[TraceRecord]:
             raise TraceFormatError(f"{path}: missing column(s) {', '.join(missing)}")
         raise TraceFormatError(f"{path}: unexpected header {header!r}")
     records = []
-    opt = lambda s: None if s == "" else float(s)
+
+    def num(s: str) -> float:  # sgdlab never writes a non-finite value
+        if math.isfinite(x := float(s)):
+            return x
+        raise ValueError(f"non-finite value {s!r}")
+    opt = lambda s: None if s == "" else num(s)
     # one parser per field, in header order
-    parsers = (int, int, opt, float, opt, opt, float, float, opt, float)
+    parsers = (int, int, opt, num, opt, opt, num, num, opt, num)
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 10:
@@ -676,12 +680,12 @@ def run_grid(base: ExperimentConfig, momenta: Sequence[float],
         if len(set(labels)) < len(labels):
             raise ConfigurationError(f"grid {axis} {labels} would share trace file names")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cells = []
     for mom, lr, configs in runs:
         finals, bests, reach, n_div = [], [], [], 0
         for cfg in configs:
             records, summary = run_experiment(cfg)
+            out_dir.mkdir(parents=True, exist_ok=True)  # a failed first run leaves none
             write_trace(records, out_dir / f"trace_mom{mom:g}_lr{lr:g}_seed{cfg.seed}.csv")
             if summary.diverged:
                 n_div += 1
@@ -701,6 +705,5 @@ def run_grid(base: ExperimentConfig, momenta: Sequence[float],
         ))
     with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(GRID_HEADER + "\n")
-        for c in cells:  # a cell iterates its fields in header order
-            fh.write(",".join(map(_fmt, c)) + "\n")
+        fh.writelines(map(_csv_line, cells))
     return cells

@@ -159,12 +159,12 @@ def emit_plots(trace_paths: Sequence, out_dir) -> list[Path]:
     otherwise; the CV figure scatters the raw per-minibatch values. Each trace
     is labelled by its file stem, or by its path where stems collide.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stems = [Path(p).stem for p in trace_paths]
     # a path labels its trace where stems collide, as runs with two --out dirs do
     traces = {stem if stems.count(stem) == 1 else str(p): read_trace(p)
               for stem, p in zip(stems, trace_paths)}
+    out_dir = Path(out_dir)  # made once every trace has been read
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for filename, description, value_of, title, ylabel, scatter in FIGURES:
         svg = _chart(traces, value_of, title, ylabel, scatter)

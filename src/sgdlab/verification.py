@@ -114,19 +114,21 @@ def secant_trials(rng: np.random.Generator, n_trials: int,
     in [-START_SPAN, START_SPAN), with a fresh +/-1 sample per gradient.
 
     Returns the start pairs (2, n_trials), the samples (n_steps + 1, n_trials)
-    and the last iterates. Trials draw in trial order, as a one-trial-at-a-time
-    loop would; the steps run on all trials at once.
+    and the last iterates. Trials draw in trial order, the values and generator
+    state of one sized sign call per trial; steps run on all trials at once.
     """
     starts = np.empty((n_trials, 2))
     draws = np.empty((n_trials, n_steps + 1), dtype=np.int64)
     for i in range(n_trials):
-        starts[i] = rng.uniform(-START_SPAN, START_SPAN, size=2)
-        while starts[i, 1] == starts[i, 0]:
-            starts[i, 1] = rng.uniform(-START_SPAN, START_SPAN)
-        # One sized call equals as many scalar draws: the bit generator
-        # keeps the spare 32-bit half of its last output for the next
-        # trial either way.
-        draws[i] = rng.integers(0, 2, size=n_steps + 1)
+        t2, t1 = rng.uniform(-START_SPAN, START_SPAN, size=2).tolist()
+        while t1 == t2:
+            t1 = rng.uniform(-START_SPAN, START_SPAN)
+        starts[i] = t2, t1
+        # A sign takes one 32-bit half of an output and the generator keeps
+        # the spare half, so n scalar calls draw the values and leave the state
+        # of one sized call of n; two scalar calls cost half a sized call of two.
+        draws[i] = ((rng.integers(0, 2), rng.integers(0, 2)) if n_steps == 1
+                    else rng.integers(0, 2, size=n_steps + 1))
     t2, t1 = starts.T
     xs = (draws.T * 2 - 1).astype(float)  # row s: every trial's sample s
     prev, theta, prev_g = t2, t1, 2.0 * (t2 - xs[0])

@@ -2,6 +2,7 @@
 trace round-trips, grids, and the CLI exit codes."""
 
 import dataclasses
+import math
 import warnings
 from collections import deque
 from pathlib import Path
@@ -240,6 +241,21 @@ class TestEpochAccounting:
         assert records[-1].iteration == 5
 
 
+def _reference_field(value) -> str:
+    """A trace field as one call per field formats it: empty for None, an
+    int's digits, 17 significant digits of anything else."""
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+# any float, NaN and the infinities included, plus the edge values by name
+_TRACE_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
+
+
 class TestDeterminismAndRoundTrip:
     def test_repeated_runs_byte_identical(self, tmp_path):
         cfg = make_config(epochs=2, epoch_size=300, seed=11)
@@ -283,6 +299,31 @@ class TestDeterminismAndRoundTrip:
         write_trace(records, path)
         # repr tells -0.0 from 0.0 and shows every digit
         assert repr(read_trace(path)) == repr(records)
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=st.lists(st.builds(
+        TraceRecord,
+        epoch=st.integers(0, 10 ** 6) | st.integers(0, 10 ** 6).map(np.int64),
+        iteration=st.integers(0, 10 ** 9),
+        true_risk=st.none() | _TRACE_FLOATS, est_risk=_TRACE_FLOATS,
+        cv_raw=st.none() | _TRACE_FLOATS, cv_smoothed=st.none() | _TRACE_FLOATS,
+        alpha=_TRACE_FLOATS, beta=_TRACE_FLOATS,
+        accuracy=st.none() | _TRACE_FLOATS, theta_norm=_TRACE_FLOATS), max_size=6))
+    @example(records=[
+        TraceRecord(0, 1, None, -0.0, None, None, 5e-324, 1.7976931348623157e308, None, 0.0),
+        TraceRecord(2, 3, math.nan, math.inf, -math.inf, 0.5, -0.0, 0.25, 1.0, math.nan)])
+    def test_trace_lines_are_the_per_field_format(self, records, tmp_path_factory):
+        path = tmp_path_factory.mktemp("trace") / "t.csv"
+        write_trace(records, path)
+        expected = [",".join(map(_reference_field, r)) for r in records]
+        assert path.read_text(encoding="utf-8").split("\n") == [TRACE_HEADER, *expected, ""]
+        if all(v is None or math.isfinite(v) for r in records for v in r):
+            # repr tells -0.0 from 0.0; an np.int64 epoch reads back as an int
+            assert repr(read_trace(path)) == repr([r._replace(epoch=int(r.epoch))
+                                                   for r in records])
+        else:
+            with pytest.raises(TraceFormatError, match="non-finite value"):
+                read_trace(path)
 
     def test_empty_trace_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -766,6 +807,26 @@ class TestCli:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("keys,message", [
+        # every size is >= 2^47 bytes, so nothing is ever allocated
+        pytest.param("cv_buffer: 10000000000000000\n",
+                     "cv_buffer = 10000000000000000 is too large to hold: "
+                     "Unable to allocate", id="cv_buffer-1e16"),
+        pytest.param("cv_buffer: 100000000000000000000\n",
+                     "cv_buffer = 100000000000000000000 is too large to hold: "
+                     "Maximum allowed", id="cv_buffer-1e20"),
+        pytest.param("cv_window: 100000000000000000000\n",
+                     "cv_window = 100000000000000000000 is too large to hold: "
+                     "Python int too large", id="cv_window-1e20"),
+    ])
+    def test_run_cv_state_too_large_exits_1(self, tmp_path, capsys, keys, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("problem: rademacher\ntheta0: 2.0\noptimizer: sgd\nalpha: 0.1\n" + keys)
+        assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_run_secant_overflow_exits_2(self, tmp_path):
         cfg = tmp_path / "overflow.yaml"
         cfg.write_text("problem: rademacher\ntheta0: 1.0e308\noptimizer: secant\n"
@@ -798,6 +859,16 @@ class TestCli:
         assert err.startswith(f"error: {bad}:2: could not convert")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_plot_non_finite_trace_exits_1(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{TRACE_HEADER}\n0,1,2.0,1.0,,,0.1,0,,2.0\n"
+                       f"0,2,{value},1.0,,,0.1,0,,2.0\n")
+        assert cli_main(["plot", str(bad), "--out", str(tmp_path / "figs")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:3: non-finite value {value!r}\n"
+        assert not (tmp_path / "figs").exists()
+
     def test_run_missing_file_exits_3(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "absent.yaml")]) == 3
 
@@ -822,6 +893,18 @@ class TestCli:
                          "--momenta", "0.5", "1.5", "--out", str(tmp_path / "g")])
         assert code == 1
         assert "beta must be in" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    def test_grid_draw_too_large_exits_1_before_any_trace(self, tmp_path, capsys):
+        # the config loads; the first run fails when it draws its first minibatch
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("problem: rademacher\ntheta0: 2.0\noptimizer: sgd\nalpha: 0.1\n"
+                       "k: 10000000000000000\nepoch_size: 10000000000000000\n")
+        code = cli_main(["grid", str(bad), "--momenta", "0.5", "--learning-rates", "0.1",
+                         "--seeds", "0", "--out", str(tmp_path / "g")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: k = 10000000000000000 is too large to draw a minibatch")
         assert not (tmp_path / "g").exists()
 
     def test_grid_negative_seed_exits_1_before_any_trace(self, tmp_path, capsys):

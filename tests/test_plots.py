@@ -121,11 +121,13 @@ def test_flat_series_of_large_magnitude_plots(tmp_path):
     assert len(y_labels) == len(set(y_labels)) == 5
 
 
-def test_infinite_risk_still_plots(rademacher_trace, tmp_path):
+def test_infinite_risk_is_rejected_before_any_figure(rademacher_trace, tmp_path):
+    # sgdlab never writes a non-finite value; plotting one drew NaN coordinates
     records = read_trace(rademacher_trace)
     records[-1] = records[-1]._replace(true_risk=float("inf"))
     path = tmp_path / "inf.csv"
     write_trace(records, path)
-    written = emit_plots([path], tmp_path / "figs")
-    assert "risk.svg" in {p.name for p in written}
-    assert (tmp_path / "figs" / "risk.svg").read_text().count("<polyline") == 1
+    with pytest.raises(TraceFormatError, match=f"inf.csv:{len(records) + 1}: "
+                                               "non-finite value 'inf'"):
+        emit_plots([path], tmp_path / "figs")
+    assert not (tmp_path / "figs").exists()

@@ -8,7 +8,7 @@ import pytest
 
 from secant_absorption_oracle import reference_secant_absorption
 from sgdlab.errors import ConfigurationError
-from sgdlab.verification import (DEFAULT_SEED, OracleReport, REPORT_HEADER,
+from sgdlab.verification import (DEFAULT_SEED, OracleReport, REPORT_HEADER, START_SPAN,
                                  claim_passes, explicit_secant_update,
                                  format_report, secant_trials,
                                  sgd_samples_to_unit_ball,
@@ -88,6 +88,22 @@ class TestCvFormula:
         assert all(r.passed for r in verify_cv_asymptote())
 
 
+def sized_call_draws(rng, n_trials, n_steps):
+    """`secant_trials`' start pairs and samples, drawn trial by trial with one
+    sized `integers` call for each trial's signs."""
+    starts, xs = np.empty((2, n_trials)), np.empty((n_steps + 1, n_trials))
+    for i in range(n_trials):
+        starts[:, i] = rng.uniform(-START_SPAN, START_SPAN, size=2)
+        while starts[1, i] == starts[0, i]:
+            starts[1, i] = rng.uniform(-START_SPAN, START_SPAN)
+        xs[:, i] = rng.integers(0, 2, size=n_steps + 1) * 2 - 1
+    return starts, xs
+
+
+def assert_same_draws(got, want):
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
 class TestSecantAbsorption:
     def test_passes_at_reduced_n(self):
         one_step, long_run = verify_secant_absorption(
@@ -106,11 +122,19 @@ class TestSecantAbsorption:
         reports, one_step, finals = reference_secant_absorption(
             n_trials, seed, long_run_trials=long_run_trials,
             long_run_steps=long_run_steps)
-        rng = np.random.default_rng(seed)
-        theta_new = secant_trials(rng, n_trials, 1)[2]
+        rng, sized = np.random.default_rng(seed), np.random.default_rng(seed)
+        starts, xs, theta_new = secant_trials(rng, n_trials, 1)
         assert np.array_equal(theta_new, one_step)
-        assert np.array_equal(
-            np.abs(secant_trials(rng, long_run_trials, long_run_steps)[2]), finals)
+        # one-step trials draw their signs in scalar calls, longer ones in one
+        # sized call; both draw the values and leave the generator state of a
+        # sized call per trial
+        assert_same_draws((starts, xs), sized_call_draws(sized, n_trials, 1))
+        assert rng.bit_generator.state == sized.bit_generator.state
+        starts, xs, theta = secant_trials(rng, long_run_trials, long_run_steps)
+        assert np.array_equal(np.abs(theta), finals)
+        assert_same_draws((starts, xs),
+                          sized_call_draws(sized, long_run_trials, long_run_steps))
+        assert rng.bit_generator.state == sized.bit_generator.state
         # the hit count is the one-step statistic times n_trials
         assert verify_secant_absorption(
             n_trials, seed, long_run_trials=long_run_trials,
