@@ -22,8 +22,8 @@ import yaml
 from .diagnostics import RolloffPolicy, estimate_cv, smooth_cv
 from .errors import ConfigurationError, TraceFormatError
 from .optimizers import AlphaSchedule, SwitchPolicy, step_momentum, step_secant, step_sgd
-from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Problem,
-                       RademacherProblem, _as_theta, minibatches, too_large)
+from .problems import (BOUNDS, LeastSquaresProblem, LogisticBlobsProblem, Problem,
+                       RademacherProblem, _as_theta, check_bounds, minibatches, too_large)
 # The run loop calls Problem.evaluate; these stay bound here because
 # perfbench's tracer wraps them at this module.
 from .problems import draw_minibatch, evaluate_minibatch  # noqa: F401
@@ -99,30 +99,22 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigurationError(f"config must be a mapping, got {type(raw).__name__}")
         known = {f.name for f in fields(ExperimentConfig)}
-        unknown = sorted(set(raw) - known)
+        unknown = sorted(map(str, set(raw) - known))  # YAML keys need not be strings
         if unknown:
             raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
         return ExperimentConfig(**raw)
 
     def validate(self) -> None:
-        """Raise ConfigurationError for any invalid key; the problem is built
-        to check the keys that depend on it."""
+        """Raise ConfigurationError for any invalid key, building nothing: every
+        problem's keys meet `BOUNDS` whatever the problem, and `problem_size`
+        gives the parameter count and a too-large build's numpy error."""
         if self.problem not in PROBLEM_NAMES:
             raise ConfigurationError(
                 f"unknown problem {self.problem!r}; expected one of {PROBLEM_NAMES}")
         if self.optimizer not in OPTIMIZER_NAMES:
             raise ConfigurationError(
                 f"unknown optimizer {self.optimizer!r}; expected one of {OPTIMIZER_NAMES}")
-        for name in ("k", "epochs", "eval_every", "epoch_size", "cv_window"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("seed", "problem_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.cv_buffer < 2:
-            raise ConfigurationError(f"cv_buffer must be >= 2, got {self.cv_buffer}")
-        if self.train_size is not None and self.train_size < 1:
-            raise ConfigurationError(f"train_size must be >= 1, got {self.train_size}")
+        check_bounds(**{key: getattr(self, key) for key in BOUNDS})
         if self.eval_every > self.total_iterations():
             raise ConfigurationError(
                 f"eval_every ({self.eval_every}) exceeds the run's "
@@ -159,15 +151,15 @@ class ExperimentConfig:
         RolloffPolicy(kind="constant" if self.beta_policy is None else self.beta_policy,
                       beta_max=self.beta_max, cv_low=self.cv_low, cv_high=self.cv_high)
         SwitchPolicy(kind=self.switch_kind, threshold=self.switch_threshold)
-        problem = build_problem(self)
-        if self.optimizer in ("secant", "hybrid") and problem.dim != 1:
-            raise ConfigurationError(
-                f"secant/hybrid need a scalar problem, got dim {problem.dim}")
+        dim, largest = problem_size(self)
+        with too_large(f"{self.problem} problem is too large to build"):
+            np.empty(largest)  # numpy's size errors, and no page is touched
+        if self.optimizer in ("secant", "hybrid") and dim != 1:
+            raise ConfigurationError(f"secant/hybrid need a scalar problem, got dim {dim}")
         if self.theta0 is not None:
             n = self.theta0_values().shape[0]
-            if n not in (1, problem.dim):
-                raise ConfigurationError(
-                    f"theta0 has {n} entries, problem needs {problem.dim}")
+            if n not in (1, dim):
+                raise ConfigurationError(f"theta0 has {n} entries, problem needs {dim}")
 
     def total_iterations(self) -> int:
         """ceil(epochs * epoch_size / k) fresh minibatches, or epochs passes of
@@ -214,12 +206,22 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a flat YAML mapping into a validated ExperimentConfig."""
+    """Parse a flat YAML mapping into a validated ExperimentConfig; a repeated
+    top-level key, which YAML forbids and PyYAML lets the last one win, is an error."""
     with open(path, "r", encoding="utf-8") as fh:
+        loader = yaml.SafeLoader(fh)  # what yaml.safe_load runs, keeping the node
         try:
-            raw = yaml.safe_load(fh)
+            node = loader.get_single_node()
+            # the keys as written, before building the mapping folds in `<<` merges
+            pairs = node.value if isinstance(node, yaml.MappingNode) else []
+            keys = [loader.construct_object(key) for key, _ in pairs
+                    if key.tag != "tag:yaml.org,2002:merge"]
+            raw = None if node is None else loader.construct_document(node)
         except yaml.YAMLError as exc:
             raise ConfigurationError(f"{path}: invalid YAML: {exc}") from exc
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ConfigurationError(f"{path}: config key {key!r} is given more than once")
     if raw is None:
         raise ConfigurationError(f"empty config file: {path}")
     return ExperimentConfig.from_dict(raw)
@@ -235,6 +237,14 @@ def build_problem(config: ExperimentConfig) -> Problem:
                                        config.noise_std, config.problem_seed)
         return LogisticBlobsProblem(config.dim, config.n_classes, config.separation,
                                     config.problem_seed, config.test_per_class)
+
+
+def problem_size(config: ExperimentConfig) -> tuple[int, tuple]:
+    """(parameter count, shape of the largest array) of build_problem(config),
+    in closed form: the held-out set is logistic's largest array."""
+    d, n = config.dim, config.n_classes
+    return {"rademacher": (1, ()), "least_squares": (d, (d,)),
+            "logistic": (n * (d + 1), (n * config.test_per_class, d))}[config.problem]
 
 
 def initial_theta(config: ExperimentConfig, problem: Problem,

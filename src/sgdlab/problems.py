@@ -85,8 +85,7 @@ def _as_theta(theta, dim: int) -> Array:
 
 def draw_minibatch(problem: Problem, theta, k: int, rng: np.random.Generator) -> Minibatch:
     """Draw k fresh i.i.d. samples and evaluate costs and mean gradient at theta."""
-    if k < 1:
-        raise ConfigurationError(f"minibatch size must be >= 1, got {k}")
+    check_bounds(k=k)
     samples = problem.sample(rng, int(k))
     return evaluate_minibatch(problem, theta, samples)
 
@@ -107,6 +106,19 @@ def too_large(what: str):
         raise  # a ValueError itself, with its own message
     except (MemoryError, OverflowError, ValueError) as exc:
         raise ConfigurationError(f"{what}: {exc}") from exc
+
+
+# Every numeric config key's lower bound: the problem keys, then the run keys.
+BOUNDS = dict(dim=1, condition_number=1, noise_std=0, n_classes=2, separation=0,
+              test_per_class=1, k=1, epochs=1, eval_every=1, epoch_size=1, cv_window=1,
+              train_size=1, cv_buffer=2, seed=0, problem_seed=0)
+
+
+def check_bounds(**values) -> None:
+    """ConfigurationError for the first key below its BOUNDS entry; None passes."""
+    for key, value in values.items():
+        if value is not None and value < BOUNDS[key]:
+            raise ConfigurationError(f"{key} must be >= {BOUNDS[key]}, got {value}")
 
 
 # Most sample coordinates (k * dim per minibatch) one block draw may hold, so
@@ -208,13 +220,7 @@ class LeastSquaresProblem(Problem):
     """
 
     def __init__(self, dim: int, condition_number: float, noise_std: float, seed: int):
-        if dim < 1:
-            raise ConfigurationError(f"dim must be >= 1, got {dim}")
-        if condition_number < 1.0:
-            raise ConfigurationError(
-                f"condition_number must be >= 1, got {condition_number}")
-        if noise_std < 0.0:
-            raise ConfigurationError(f"noise_std must be >= 0, got {noise_std}")
+        check_bounds(dim=dim, condition_number=condition_number, noise_std=noise_std)
         self.dim = int(dim)
         self.condition_number = float(condition_number)
         self.noise_std = float(noise_std)
@@ -279,14 +285,8 @@ class LogisticBlobsProblem(Problem):
 
     def __init__(self, dim: int, n_classes: int, separation: float, seed: int,
                  test_per_class: int = 500):
-        if dim < 1:
-            raise ConfigurationError(f"dim must be >= 1, got {dim}")
-        if n_classes < 2:
-            raise ConfigurationError(f"n_classes must be >= 2, got {n_classes}")
-        if separation < 0.0:
-            raise ConfigurationError(f"separation must be >= 0, got {separation}")
-        if test_per_class < 1:
-            raise ConfigurationError(f"test_per_class must be >= 1, got {test_per_class}")
+        check_bounds(dim=dim, n_classes=n_classes, separation=separation,
+                     test_per_class=test_per_class)
         self.n_features = int(dim)
         self.n_classes = int(n_classes)
         self.separation = float(separation)

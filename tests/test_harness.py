@@ -3,6 +3,7 @@ trace round-trips, grids, and the CLI exit codes."""
 
 import dataclasses
 import math
+import re
 import warnings
 from collections import deque
 from pathlib import Path
@@ -14,8 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 from sgdlab.cli import main as cli_main
 from sgdlab.errors import ConfigurationError, TraceFormatError
 from sgdlab.diagnostics import estimate_cv
+from sgdlab import harness
 from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, TraceRecord, _CvTracker,
-                            _run_loop, build_problem, load_config, read_trace,
+                            _run_loop, build_problem, load_config, problem_size, read_trace,
                             run_experiment, run_grid, run_hybrid, write_trace)
 from sgdlab.optimizers import AlphaSchedule, SwitchPolicy
 from sgdlab.problems import (BLOCK_COORDINATES, LeastSquaresProblem,
@@ -42,6 +44,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="unknown config keys"):
             ExperimentConfig.from_dict(dict(problem="rademacher", theta0=1.0,
                                             optimizer="sgd", alpha=0.1, bogus=3))
+        # YAML keys need not be strings: `1: 2`, `null: 3`, `yes: 1`
+        for extra, names in (({1: 2}, "1"), ({None: 3}, "None"), ({True: 1}, "True"),
+                             ({1: 2, None: 3, "bogus": 4}, "1, None, bogus")):
+            with pytest.raises(ConfigurationError, match=f"^unknown config keys: {names}$"):
+                ExperimentConfig.from_dict(dict(problem="rademacher", theta0=1.0,
+                                                optimizer="sgd", alpha=0.1) | extra)
 
     @pytest.mark.parametrize("overrides,message", [
         (dict(problem="nope"), "unknown problem"),
@@ -124,6 +132,15 @@ class TestConfigValidation:
          "unknown learning-rate schedule 'bogus'"),
         (dict(beta_max=5.0), r"beta_max must be in \[0, 1\), got 5.0"),
         (dict(cv_low=3.0, cv_high=1.0), "need 0 <= cv_low < cv_high"),
+        # every problem key is checked, whatever the problem
+        (dict(dim=0), "^dim must be >= 1, got 0$"),
+        (dict(condition_number=-5), r"^condition_number must be >= 1, got -5\.0$"),
+        (dict(noise_std=-1), r"^noise_std must be >= 0, got -1\.0$"),
+        (dict(n_classes=1), "^n_classes must be >= 2, got 1$"),
+        (dict(separation=-1), r"^separation must be >= 0, got -1\.0$"),
+        (dict(test_per_class=0), "^test_per_class must be >= 1, got 0$"),
+        (dict(problem="least_squares", dim=2, n_classes=1), "^n_classes must be >= 2, got 1$"),
+        (dict(problem="logistic", dim=2, noise_std=-1), r"^noise_std must be >= 0, got -1\.0$"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,
@@ -163,6 +180,56 @@ class TestConfigValidation:
                 problem="least_squares", dim=4, condition_number=10.0,
                 theta0=[1.0, 2.0], optimizer="sgd", alpha=0.01,
                 epochs=1, epoch_size=50, seed=0))
+
+    def test_repeated_key_rejected(self, tmp_path):
+        # PyYAML keeps the last of repeated keys; YAML forbids repeats
+        path = tmp_path / "c.yaml"
+        path.write_text("problem: rademacher\ntheta0: 2.0\noptimizer: sgd\n"
+                        "alpha: 0.1\nalpha: 5.0\n")
+        with pytest.raises(ConfigurationError,
+                           match=f"^{re.escape(str(path))}: config key 'alpha' is given more than once$"):
+            load_config(path)
+        # a key merged in with `<<` may be overridden, as YAML's merge key allows
+        path.write_text("<<: {problem: rademacher, alpha: 5.0}\ntheta0: 2.0\n"
+                        "optimizer: sgd\nalpha: 0.1\n")
+        assert load_config(path).alpha == 0.1
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")),
+                             ids=lambda p: p.stem)
+    def test_load_builds_nothing_and_a_run_builds_once(self, path, monkeypatch):
+        built = []
+        monkeypatch.setattr(harness, "build_problem",
+                            lambda cfg: built.append(cfg) or build_problem(cfg))
+        config = load_config(path)
+        config = dataclasses.replace(config, epochs=1, epoch_size=config.k,
+                                     eval_every=1, train_size=None)
+        assert built == []
+        run_experiment(config)
+        assert built == [config]
+
+    def test_grid_builds_each_problem_once(self, tmp_path, monkeypatch):
+        base = dataclasses.replace(load_config(CONFIG_DIR / "least_squares_poor_start.yaml"),
+                                   epochs=1, epoch_size=600, eval_every=1)
+        built = []
+        monkeypatch.setattr(harness, "build_problem",
+                            lambda cfg: built.append(cfg) or build_problem(cfg))
+        run_grid(base, [0.0, 0.5, 0.9], [1e-4, 3e-4, 1e-3], [0], tmp_path)
+        assert len(built) == 9
+
+    @pytest.mark.parametrize("config", [
+        *[load_config(p) for p in sorted(CONFIG_DIR.glob("*.yaml"))],
+        make_config(),
+        make_config(problem="least_squares", dim=3),
+        make_config(problem="least_squares", dim=1, condition_number=1.0, noise_std=0.5),
+        make_config(problem="logistic", dim=3, n_classes=5, test_per_class=7),
+        make_config(problem="logistic", dim=1, n_classes=2, test_per_class=1),
+    ], ids=lambda c: f"{c.problem}-{c.dim}-{c.n_classes}-{c.test_per_class}")
+    def test_problem_size_is_what_the_build_holds(self, config):
+        problem = build_problem(config)
+        arrays = [a for v in vars(problem).values()
+                  for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+        largest = max(arrays, key=lambda a: a.size, default=np.empty(()))
+        assert problem_size(config) == (problem.dim, largest.shape)
 
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -842,6 +909,21 @@ class TestCli:
         cfg.write_text("problem: rademacher\ntheta0: 2.0\noptimizer: sgd\n"
                        "alpha: 1.0e200\nepochs: 1\nepoch_size: 50\n")
         assert cli_main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("line,message", [
+        ("1: 2", "unknown config keys: 1"),
+        ("null: 3", "unknown config keys: None"),
+        ("yes: 1", "unknown config keys: True"),
+        ("alpha: 5.0", "config key 'alpha' is given more than once"),
+    ])
+    def test_run_bad_key_exits_1(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"problem: rademacher\ntheta0: 1.0\noptimizer: sgd\nalpha: 0.1\n{line}\n")
+        assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith(message)
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_run_invalid_yaml_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -1,10 +1,12 @@
 """Every name a `src/sgdlab` module, a `tests` file or a `perfbench` script
-imports is used in that file.
+imports is used in that file, and every module-level name `src/sgdlab`
+defines is read by the package or by perfbench, not by tests alone.
 
-No linter runs on this project, and a deletion easily leaves an import behind.
-`__init__.py` re-exports by importing, and a statement marked `# noqa: F401`
-keeps a name bound for callers elsewhere (perfbench's tracer patches some at
-`harness`); both are exempt.
+No linter runs on this project, and a deletion easily leaves an import or a
+helper behind. `__init__.py` re-exports by importing, and a statement marked
+`# noqa: F401` keeps a name bound for callers elsewhere (perfbench's tracer
+patches some at `harness`); both are exempt from the import check, and the
+names `__init__.py` re-exports are public API, exempt from the read check.
 """
 
 import ast
@@ -14,9 +16,9 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "sgdlab"
-MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-           + sorted(TESTS.glob("*.py"))
-           + sorted((TESTS.parent / "perfbench").glob("*.py")))
+PACKAGE = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = sorted((TESTS.parent / "perfbench").glob("*.py"))
+MODULES = PACKAGE + sorted(TESTS.glob("*.py")) + PERFBENCH
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,3 +49,48 @@ def test_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def defined_names(source: str) -> list[str]:
+    """The functions, classes and assigned names at a module's top level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def read_names(source: str) -> set[str]:
+    """Every name the source reads: a loaded name, an attribute, an imported
+    name, or a string equal to one (perfbench's tracer patches by name)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_flags_only_unread_definitions():
+    source = ("X = 1\nY: int = 2\ndef f():\n    return X\nclass C:\n    pass\n"
+              "def _g():\n    pass\n")
+    assert defined_names(source) == ["X", "Y", "f", "C", "_g"]
+    assert {"X", "f", "C"} <= read_names(source + "f()\nz = C\n")
+    assert not {"Y", "_g"} & read_names(source + "f()\nz = C\n")
+
+
+def test_every_package_definition_is_read_outside_tests():
+    read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in PACKAGE + PERFBENCH))
+    exported = read_names((SRC / "__init__.py").read_text(encoding="utf-8"))
+    unread = [f"{p.stem}.{name}" for p in PACKAGE
+              for name in defined_names(p.read_text(encoding="utf-8"))
+              if name not in read | exported and not name.startswith("__")]
+    assert unread == []
