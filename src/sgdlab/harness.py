@@ -208,9 +208,10 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Parse a flat YAML mapping into a validated ExperimentConfig; a repeated
     top-level key, which YAML forbids and PyYAML lets the last one win, is an error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        loader = yaml.SafeLoader(fh)  # what yaml.safe_load runs, keeping the node
+    with open(path, "rb") as fh:  # PyYAML decodes: undecodable text is a YAMLError
         try:
+            # what yaml.safe_load runs, keeping the node; it reads a first chunk
+            loader = yaml.SafeLoader(fh)
             node = loader.get_single_node()
             # the keys as written, before building the mapping folds in `<<` merges
             pairs = node.value if isinstance(node, yaml.MappingNode) else []
@@ -448,11 +449,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
     RNG draw order (all from one PCG64 stream seeded by config.seed):
     start direction (theta0_scale mode only), then the finite train set
     (finite mode), then per-epoch shuffles / per-iteration fresh draws.
-    Fresh samples are drawn in blocks where that yields the same samples
-    (rademacher, noiseless least squares; see `Problem.block_draws`) and once
-    per minibatch otherwise; the draw order and the traces are the same
-    either way. theta is validated once, with the config; the loop evaluates
-    the problem on it directly.
+    Fresh samples are drawn in blocks on rademacher (see `Problem.block_draws`)
+    and once per minibatch on the other problems; the draw order and the
+    traces are the same either way. theta is validated once, with the config;
+    the loop evaluates the problem on it directly.
     """
     problem = build_problem(config)
     rng = np.random.default_rng(config.seed)
@@ -620,6 +620,8 @@ def read_trace(path) -> list[TraceRecord]:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise OSError(f"cannot read trace {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines:
         raise TraceFormatError(f"{path}: empty trace file")
     header = lines[0]

@@ -36,12 +36,10 @@ class Problem:
     dim: int = 1
     true_risk = None  # a method true_risk(theta) where the risk has a closed form
     min_risk: Optional[float] = None  # the risk's minimum, where known
-    # True when one sample(rng, m * k) call returns exactly the samples of m
-    # successive sample(rng, k) calls, so a run may draw its fresh samples in
-    # blocks without changing them. False for problems that interleave two
-    # draws per call. A problem that sets it defines take(block, start, stop):
-    # samples start:stop of a block one `sample` call drew, exactly as a
-    # `sample` call for only those samples returns them.
+    # True when a run draws its fresh samples in blocks: one sample(rng, m * k)
+    # call returns exactly the samples of m successive sample(rng, k) calls, and
+    # `subset` of a slice of it returns them as a `sample` call for those alone.
+    # Only rademacher sets it: per-call cost dominates only its scalar draws.
     block_draws: bool = False
     # True when the run loop holds the iterate as a Python float instead of a
     # (1,) array: the same IEEE double operations in the same order, without
@@ -70,7 +68,7 @@ class Problem:
         return self.evaluate(theta, samples)[1]
 
     def subset(self, samples, idx):
-        """Select samples by integer index array / slice (for epoch shuffling)."""
+        """Select samples by integer index array (epoch shuffles) or slice (block draws)."""
         raise NotImplementedError
 
 
@@ -129,12 +127,13 @@ BLOCK_COORDINATES = 2 ** 16
 def minibatches(problem: Problem, rng: np.random.Generator, k: int, n_batches: int):
     """A run's fresh minibatches of k samples, in the run's RNG draw order.
 
-    Where `problem.block_draws` holds, one `sample` call draws a block of 1,
-    2, 4, ... minibatches (at most BLOCK_COORDINATES coordinates, never more
-    than the run still needs) and each is taken from it in turn, so a run that
-    stops early has drawn under twice the samples it spent plus one. Other
-    problems draw once per minibatch. Both give the same samples, and a run
-    that takes all `n_batches` leaves the generator where per-call draws do.
+    Where `problem.block_draws` holds (rademacher only), one `sample` call
+    draws a block of 1, 2, 4, ... minibatches (at most BLOCK_COORDINATES
+    coordinates, never more than the run still needs) and `problem.subset`
+    slices each from it in turn, so a run that stops early has drawn under
+    twice the samples it spent plus one. Other problems draw once per
+    minibatch. Both give the same samples, and a run that takes all
+    `n_batches` leaves the generator where per-call draws do.
     A `float_iterate` problem's blocked one-sample minibatches are floats, one
     `tolist()` per block. A draw too large for numpy is a config error on k.
     """
@@ -152,7 +151,7 @@ def minibatches(problem: Problem, rng: np.random.Generator, k: int, n_batches: i
                 yield from block.tolist()
                 continue
             for start in range(0, n * k, k):
-                yield problem.take(block, start, start + k)
+                yield problem.subset(block, slice(start, start + k))
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +198,6 @@ class RademacherProblem(Problem):
     def subset(self, samples: Array, idx) -> Array:
         return samples[idx]
 
-    def take(self, block: Array, start: int, stop: int) -> Array:
-        return block[start:stop]
-
 
 # ---------------------------------------------------------------------------
 # Linear least squares on Gaussian features: an exactly conditioned,
@@ -234,12 +230,6 @@ class LeastSquaresProblem(Problem):
         delta = np.asarray(theta, dtype=float).reshape(-1) - self.w_star
         return float(np.dot(self.eigenvalues, delta * delta) + self.noise_std ** 2)
 
-    @property
-    def block_draws(self) -> bool:
-        # noiseless samples are one standard_normal fill; noise interleaves
-        # a second draw after each call's features
-        return self.noise_std == 0.0
-
     def sample(self, rng: np.random.Generator, n: int):
         features = rng.standard_normal((n, self.dim)) * self._feature_scale
         targets = features @ self.w_star
@@ -253,12 +243,6 @@ class LeastSquaresProblem(Problem):
         return r * r, (2.0 / r.shape[0]) * (features.T @ r)
 
     costs, mean_gradient = Problem.costs, Problem.mean_gradient
-
-    def take(self, block, start: int, stop: int):
-        # BLAS may sum a row's dot product in a different order inside a
-        # taller matrix, so the targets come from these rows alone
-        features = block[0][start:stop]
-        return features, features @ self.w_star
 
     def subset(self, samples, idx):
         features, targets = samples

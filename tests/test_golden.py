@@ -1,7 +1,8 @@
 """Golden outputs: the SHA-256 of the trace each checked-in config writes,
-of cv-switch hybrid traces, of a small grid's summary.csv, of the `sgdlab
-verify --quick` and full `sgdlab verify` reports and of the per-seed
-samples-to-unit-ball counts, and the default-size secant-absorption claims.
+of a noisy and a noiseless least-squares trace, of cv-switch hybrid traces,
+of a small grid's summary.csv, of the `sgdlab verify --quick` and full
+`sgdlab verify` reports and of the per-seed samples-to-unit-ball counts, and
+the default-size secant-absorption claims.
 
 A change that alters any output byte (draw order, evaluation order, float
 formatting, CV bookkeeping) fails here. Re-pin only with a stated reason.
@@ -30,13 +31,23 @@ GOLDEN = {
     "rademacher_rm": "03f00a2f51932383e6411a6f18aeb31d3d80307b92bd644937cc18d6bd18af2c",
 }
 
-# Noisy least squares draws features, then noise, on every call, so its
-# fresh samples are never block-drawn: this pins that per-call path.
+# Noisy least squares draws features, then noise, on every call: this pins
+# that interleaved per-call path.
 NOISY_LEAST_SQUARES = dict(
     problem="least_squares", dim=5, condition_number=10.0, noise_std=0.5,
     problem_seed=2, theta0_scale=3.0, optimizer="momentum", beta=0.5, k=4,
     alpha=0.01, epochs=2, epoch_size=400, eval_every=5, seed=21)
 NOISY_LEAST_SQUARES_SHA256 = "f1eb47ad647c10a2b8e381ee3f80c0dd86a1d7771ddc7d9f0fee54585d3f0b2a"
+
+# Noiseless least squares with k * dim = 7000, recorded when its fresh samples
+# were drawn in blocks of up to 9 minibatches: a row's targets summed inside a
+# taller matrix may round differently, so this pins per-call draws to the
+# samples and traces the blocks gave.
+NOISELESS_LEAST_SQUARES = dict(
+    problem="least_squares", dim=1000, condition_number=10.0, noise_std=0.0,
+    theta0_scale=3.0, optimizer="momentum", beta=0.5, k=7, alpha=1e-4, epochs=1,
+    epoch_size=300, eval_every=4, seed=4)
+NOISELESS_LEAST_SQUARES_SHA256 = "51d3661cfab8dc10a8f9c0d95fb6e4086d6f60a1df7e8acf387b8efd2437af6a"
 
 
 # Hybrid runs whose switch reads the trailing-cost CV, at the default
@@ -123,6 +134,11 @@ def test_config_trace_hash(name, tmp_path):
 def test_noisy_least_squares_trace_hash(tmp_path):
     config = ExperimentConfig.from_dict(NOISY_LEAST_SQUARES)
     assert trace_sha256(config, tmp_path / "trace.csv") == NOISY_LEAST_SQUARES_SHA256
+
+
+def test_noiseless_least_squares_trace_hash(tmp_path):
+    config = ExperimentConfig.from_dict(NOISELESS_LEAST_SQUARES)
+    assert trace_sha256(config, tmp_path / "trace.csv") == NOISELESS_LEAST_SQUARES_SHA256
 
 
 @pytest.mark.parametrize("threshold,seed", sorted(CV_HYBRID_SHA256))

@@ -408,6 +408,12 @@ class TestDeterminismAndRoundTrip:
         with pytest.raises(TraceFormatError, match=f"bad.csv:3: {message}"):
             read_trace(path)
 
+    def test_non_utf8_trace_is_a_format_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(f"{TRACE_HEADER}\n0,1,1.0,1.0,,,0.1,0,,2.0\xe9\n".encode("latin-1"))
+        with pytest.raises(TraceFormatError, match="bad.csv: not UTF-8 text: .*0xe9"):
+            read_trace(path)
+
     def test_header_is_pinned(self):
         assert TRACE_HEADER == ("epoch,iteration,true_risk,est_risk,cv_raw,"
                                 "cv_smoothed,alpha,beta,accuracy,theta_norm")
@@ -492,22 +498,18 @@ class TestCvTracker:
 class TestSampleStream:
     """Block-drawn fresh samples equal per-call draws, sample for sample."""
 
-    @pytest.mark.parametrize("make,k,n_batches,blocks", [
+    @pytest.mark.parametrize("k,n_batches,blocks", [
         # blocks of 1, 2, 4, ... batches: 13 blocks hold 8191 batches, the
         # last 1172 stay under the cap (k = 7 does not divide 2^16: 9362)
-        pytest.param(lambda: RademacherProblem(), 7, 9363,
-                     [2 ** i for i in range(13)] + [1172], id="rademacher-k7"),
-        pytest.param(lambda: RademacherProblem(), 1, 70000,
-                     [2 ** i for i in range(16)] + [4465], id="rademacher-k1"),
-        # k * dim = 7000: the cap is 9 batches, then a short last block
-        pytest.param(lambda: LeastSquaresProblem(1000, 10.0, 0.0, 3), 7, 40,
-                     [1, 2, 4, 8, 9, 9, 7], id="least_squares-dim1000-k7"),
-        # k * dim = 90000 exceeds the cap: one batch per draw
-        pytest.param(lambda: LeastSquaresProblem(3000, 10.0, 0.0, 4), 30, 3,
-                     [1, 1, 1], id="least_squares-dim3000-k30"),
+        pytest.param(7, 9363, [2 ** i for i in range(13)] + [1172], id="rademacher-k7"),
+        pytest.param(1, 70000, [2 ** i for i in range(16)] + [4465], id="rademacher-k1"),
+        # 2^16 // 7000: the cap is 9 batches, then a short last block
+        pytest.param(7000, 40, [1, 2, 4, 8, 9, 9, 7], id="rademacher-k7000"),
+        # 2^16 // 40000: the cap is 1, so one batch per draw
+        pytest.param(40000, 3, [1, 1, 1], id="rademacher-k40000"),
     ])
-    def test_blocks_match_per_call_draws(self, make, k, n_batches, blocks):
-        problem = make()
+    def test_blocks_match_per_call_draws(self, k, n_batches, blocks):
+        problem = RademacherProblem()
         assert problem.block_draws and sum(blocks) == n_batches
         sample_calls = []
         draw = problem.sample
@@ -516,15 +518,12 @@ class TestSampleStream:
         stream = minibatches(problem, rng_block, k, n_batches)
         for _ in range(n_batches):
             got, want = next(stream), draw(rng_call, k)
-            if isinstance(want, tuple):
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            elif k == 1 and problem.float_iterate:
+            if k == 1:
                 # a float-iterate problem's one-sample minibatch is the float
                 assert type(got) is float and [got] == want.tolist()
             else:
                 assert np.array_equal(got, want)
-        assert all(n * problem.dim <= max(BLOCK_COORDINATES, k * problem.dim)
-                   for n in sample_calls)
+        assert all(n <= max(BLOCK_COORDINATES, k) for n in sample_calls)  # dim is 1
         assert sample_calls == [n * k for n in blocks]
         # no sample drawn beyond the last batch
         assert rng_block.bit_generator.state == rng_call.bit_generator.state
@@ -540,14 +539,11 @@ class TestSampleStream:
                           alpha=0.5, alpha_schedule="inverse_t", epochs=1,
                           epoch_size=200, eval_every=1, seed=3),
                      False, id="rademacher-hybrid"),
-        pytest.param(dict(problem="least_squares", dim=1000, condition_number=10.0,
-                          theta0_scale=3.0, optimizer="momentum", beta=0.5, k=7,
-                          alpha=1e-4, epochs=1, epoch_size=300, eval_every=4, seed=4),
-                     False, id="least_squares-dim1000-k7"),
-        pytest.param(dict(problem="least_squares", dim=3000, condition_number=10.0,
-                          theta0_scale=3.0, optimizer="sgd", k=30, alpha=1e-4,
-                          epochs=1, epoch_size=120, eval_every=1, seed=5),
-                     False, id="least_squares-dim3000-k30"),
+        # 40 batches of 7000 draw in blocks of [1, 2, 4, 8, 9, 9, 7]: 9 is the cap
+        pytest.param(dict(problem="rademacher", theta0=3.0, optimizer="momentum", beta=0.5,
+                          k=7000, alpha=0.1, epochs=1, epoch_size=280000, eval_every=3,
+                          seed=4),
+                     False, id="rademacher-k7000"),
     ])
     def test_run_identical_with_block_draws_off(self, raw, diverges, monkeypatch):
         config = ExperimentConfig.from_dict(raw)
@@ -559,6 +555,19 @@ class TestSampleStream:
         assert np.array_equal(summary.final_theta, summary_off.final_theta)
         assert (summary.samples, summary.iterations, summary.diverged) == (
             summary_off.samples, summary_off.iterations, summary_off.diverged)
+
+    def test_noiseless_least_squares_draws_once_per_minibatch(self, monkeypatch):
+        # k * dim = 7000: blocks of up to 9 minibatches would fit under the cap
+        config = ExperimentConfig.from_dict(dict(
+            problem="least_squares", dim=1000, condition_number=10.0, noise_std=0.0,
+            theta0_scale=3.0, optimizer="momentum", beta=0.5, k=7, alpha=1e-4,
+            epochs=1, epoch_size=300, eval_every=4, seed=4))
+        sample_calls = []
+        draw = LeastSquaresProblem.sample
+        monkeypatch.setattr(LeastSquaresProblem, "sample",
+                            lambda self, rng, n: sample_calls.append(n) or draw(self, rng, n))
+        _, summary = run_experiment(config)
+        assert summary.iterations == 43 and sample_calls == [7] * 43
 
 
 class TestHybridRun:
@@ -932,6 +941,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: invalid YAML")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(b"\x00problem: rademacher\n", id="nul-first-byte"),
+        pytest.param("# caf\u00e9\nproblem: rademacher\n".encode("latin-1"), id="latin-1"),
+    ])
+    def test_run_undecodable_config_exits_1(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(text + b"theta0: 1.0\noptimizer: sgd\nalpha: 0.1\n")
+        assert cli_main(["run", str(bad), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: invalid YAML: ") and err.count("error:") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_plot_non_utf8_trace_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(f"{TRACE_HEADER}\n0,1,2.0,1.0,,,0.1,0,,2.0\xe9\n".encode("latin-1"))
+        assert cli_main(["plot", str(bad), "--out", str(tmp_path / "figs")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text: ") and err.count("\n") == 1
+        assert not (tmp_path / "figs").exists()
 
     def test_plot_malformed_trace_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

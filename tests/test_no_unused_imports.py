@@ -1,15 +1,20 @@
 """Every name a `src/sgdlab` module, a `tests` file or a `perfbench` script
-imports is used in that file, and every module-level name `src/sgdlab`
-defines is read by the package or by perfbench, not by tests alone.
+imports is used in that file, and every module-level name, method and
+class-level attribute `src/sgdlab` defines is read by the package or by
+perfbench, not by tests alone.
 
-No linter runs on this project, and a deletion easily leaves an import or a
-helper behind. `__init__.py` re-exports by importing, and a statement marked
-`# noqa: F401` keeps a name bound for callers elsewhere (perfbench's tracer
-patches some at `harness`); both are exempt from the import check, and the
-names `__init__.py` re-exports are public API, exempt from the read check.
+No linter runs on this project, and a deletion easily leaves an import, a
+helper or a method behind. `__init__.py` re-exports by importing, and a
+statement marked `# noqa: F401` keeps a name bound for callers elsewhere
+(perfbench's tracer patches some at `harness`); both are exempt from the
+import check, and the names `__init__.py` re-exports are public API, exempt
+from the read check. Dunders are exempt too, and so are the annotated fields
+of a dataclass or NamedTuple: a record's fields are its format, read
+positionally (a trace line) or only by its callers.
 """
 
 import ast
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -87,10 +92,77 @@ def test_flags_only_unread_definitions():
     assert not {"Y", "_g"} & read_names(source + "f()\nz = C\n")
 
 
+def class_members(source: str) -> list[str]:
+    """'Class.name' for each method and class-level assignment of every class
+    in the source, but the annotated fields of a dataclass or NamedTuple."""
+    members = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        record = (any(ast.unparse(d).split("(")[0].endswith("dataclass")
+                      for d in cls.decorator_list)
+                  or any(ast.unparse(b).endswith("NamedTuple") for b in cls.bases))
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign) or (isinstance(node, ast.AnnAssign)
+                                                  and not record):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            members += [f"{cls.name}.{name}" for name in names]
+    return members
+
+
+def test_flags_only_unread_members():
+    source = textwrap.dedent("""\
+        from dataclasses import dataclass
+        @dataclass(frozen=True)
+        class R:
+            field: int
+            def used(self):
+                return self.field
+        class C:
+            flag: bool = False
+            kind = 'c'
+            a, b = 1, 2
+            def __init__(self):
+                pass
+            def read(self):
+                return self.flag, self.kind, self.a
+            def take(self, i):
+                return i
+        def f():
+            class Local:
+                def helper(self):
+                    pass
+            return Local, R(1).used(), C().read()
+        """)
+    assert class_members(source) == ["R.used", "C.flag", "C.kind", "C.a", "C.b",
+                                     "C.__init__", "C.read", "C.take", "Local.helper"]
+    read = read_names(source)
+    assert {"used", "flag", "kind", "a", "read"} <= read
+    assert not {"b", "take", "helper"} & read
+
+
+def read_outside_tests() -> set[str]:
+    """The names the package and perfbench read, and the package's exports."""
+    return set().union(*(read_names(p.read_text(encoding="utf-8"))
+                         for p in PACKAGE + PERFBENCH + [SRC / "__init__.py"]))
+
+
 def test_every_package_definition_is_read_outside_tests():
-    read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in PACKAGE + PERFBENCH))
-    exported = read_names((SRC / "__init__.py").read_text(encoding="utf-8"))
+    read = read_outside_tests()
     unread = [f"{p.stem}.{name}" for p in PACKAGE
               for name in defined_names(p.read_text(encoding="utf-8"))
-              if name not in read | exported and not name.startswith("__")]
+              if name not in read and not name.startswith("__")]
+    assert unread == []
+
+
+def test_every_method_and_class_attribute_is_read_outside_tests():
+    read = read_outside_tests()
+    unread = [f"{p.stem}.{member}" for p in PACKAGE
+              for member in class_members(p.read_text(encoding="utf-8"))
+              if (name := member.split(".")[1]) not in read and not name.startswith("__")]
     assert unread == []
