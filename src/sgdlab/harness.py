@@ -302,7 +302,10 @@ class _CvTracker:
 
     The k = 1 buffer is an array of twice the buffer size in which cost i is
     written at i % size and i % size + size, so the last n costs are always
-    one contiguous slice in arrival order.
+    one contiguous slice in arrival order, written through a memoryview (the
+    same 8 bytes at half numpy's per-item cost). A run binds `push` (k = 1) or
+    `observe` once; bound on the tracker, the choice would be a reference
+    cycle that holds each run's ring until a garbage collection.
     """
 
     def __init__(self, k: int, window: int, buffer_size: int):
@@ -313,17 +316,18 @@ class _CvTracker:
         with too_large(f"cv_window = {window} is too large to hold"):
             self.history: deque[Optional[float]] = deque(maxlen=window)
         self._costs: Optional[np.ndarray] = None
+        self._cells = memoryview(self.ring) if k < 2 else None
 
     def observe(self, costs) -> None:
-        """Take a minibatch's costs: an array, or one float cost where a float
-        iterate met a float sample."""
-        if self.ring is not None:
-            i = self.seen % self.size
-            self.ring[i] = self.ring[i + self.size] = (
-                costs if isinstance(costs, float) else costs[0])
-            self.seen += 1
-        else:
-            self._costs = costs
+        """Take a minibatch's costs (k >= 2)."""
+        self._costs = costs
+
+    def push(self, cost) -> None:
+        """Take one cost into the ring (k = 1): a float where a float iterate
+        met a float sample, a (1,) array otherwise."""
+        i, cells = self.seen % self.size, self._cells
+        cells[i] = cells[i + self.size] = cost if cost.__class__ is float else cost[0]
+        self.seen += 1
 
     def trailing_costs(self) -> np.ndarray:
         """The last min(seen, buffer size) costs, oldest first (k = 1)."""
@@ -343,11 +347,9 @@ class _CvTracker:
         return raw, smooth_cv(self.history)
 
 
-def _magnitude(theta) -> float:
-    """|theta| of a float iterate, the largest |entry| of an array one; NaN
-    where theta holds a NaN, which fails the guard's `<=` as inf does."""
-    if isinstance(theta, float):
-        return abs(theta)
+def _magnitude(theta: np.ndarray) -> float:
+    """The largest |entry| of an array iterate (`abs` serves a float one);
+    NaN where theta holds a NaN, which fails the guard's `<=` as inf does."""
     return float(np.abs(theta).max())
 
 
@@ -356,7 +358,7 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
               policy: Optional[RolloffPolicy] = None,
               secant: bool = False, switch: Optional[SwitchPolicy] = None,
               cv_every: Optional[int] = None, cv_window: int = 10, cv_buffer: int = 100,
-              next_samples=None):
+              risk_threshold: Optional[float] = None, next_samples=None):
     """The one run loop, behind `run_experiment` and `run_hybrid`.
 
     With `secant`, secant steps until `switch` fires (never when it is None),
@@ -366,21 +368,32 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
     the (1,) array `theta`; other problems keep their array, whatever its
     size. The secant phase still steps through the one array `step_secant`,
     the code verification uses, and a float iterate takes `float()` of its
-    0-d result. CV estimates are computed when the policy, the cv switch or
-    every `cv_every`-th iteration needs one. Samples come from `minibatches`
-    sized to the run, or from the `next_samples()` finite-set epochs pass.
-    Yields (iteration, theta, samples consumed, costs, risk, cv_raw,
-    cv_smoothed, alpha, beta, in_secant, diverged) per iterate; theta0 and the
-    secant phase's free second point come first, as iteration 0. `in_secant`
-    is the next step's phase; a diverged iterate is the last one yielded.
+    0-d result. Samples come from `minibatches` sized to the run, or from the
+    `next_samples()` finite-set epochs pass. What each iteration calls is bound
+    once per run; the steps and CV functions are looked up in this module on
+    each call, where perfbench's tracer wraps them.
+
+    The loop reduces: it keeps the best true risk (inf while there is none)
+    and the first iteration whose gap to `problem.min_risk` is within
+    `risk_threshold`. It yields (iteration, theta, samples consumed, costs,
+    risk, cv_raw, cv_smoothed, alpha, beta, best risk, threshold iteration,
+    in_secant, diverged): with `cv_every`, only every `cv_every`-th iterate,
+    with a CV estimate, the last one and a diverged one; without, every
+    iterate, theta0 and the secant phase's free second point first, as
+    iteration 0. The policy and the cv switch compute the CV estimates they
+    need. `in_secant` is the next step's phase; a diverged iterate is last.
     """
-    true_risk = problem.true_risk
+    true_risk, min_risk = problem.true_risk, problem.min_risk or 0.0
     tracker = _CvTracker(k, cv_window, cv_buffer)
     policy_driven = policy is not None and policy.kind != "constant"
     cv_switch = switch is not None and switch.kind == "cv"
     as_float = problem.float_iterate
     if as_float:
         theta = float(theta[0])
+    evaluate, alpha = problem.evaluate, schedule and schedule.alpha
+    observe = tracker.push if k < 2 else tracker.observe
+    magnitude, limit, isfinite = abs if as_float else _magnitude, DIVERGENCE_LIMIT, math.isfinite
+    every_iterate, best, reach = cv_every is None, math.inf, None
     v = 0.0  # beta * 0.0 + g is 0.0 + g, as it was with a zero array
     samples = 0
     sgd_iter = 0
@@ -388,35 +401,37 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
     # the switch is checked on theta0 and on the free second start point
     # before any sample is spent, so an immediate switch is a pure SGD run
     in_secant = secant and not (switch is not None and switch.fires(theta, None))
-    yield 0, theta, 0, None, None, None, None, 0.0, 0.0, in_secant, False
+    if every_iterate:
+        yield 0, theta, 0, None, None, None, None, 0.0, 0.0, best, None, in_secant, False
     if in_secant:
         start = theta
         theta = start / 2.0 if start != 0.0 else (1.0 if as_float else np.ones(1))
         in_secant = switch is None or not switch.fires(theta, None)
-        yield 0, theta, 0, None, None, None, None, 0.0, 0.0, in_secant, False
+        if every_iterate:
+            yield 0, theta, 0, None, None, None, None, 0.0, 0.0, best, None, in_secant, False
     if next_samples is None:
         # a secant phase first spends one sample on the gradient at theta0
         next_samples = minibatches(problem, rng, k, n_iterations + int(in_secant)).__next__
     if in_secant:
-        init_costs, init_grad = problem.evaluate(start, next_samples())
+        init_costs, init_grad = evaluate(start, next_samples())
         samples += 1
-        tracker.observe(init_costs)
+        observe(init_costs)
         prev_theta, prev_grad = start, init_grad
 
     for iteration in range(1, n_iterations + 1):
-        costs, grad = problem.evaluate(theta, next_samples())
-        samples += 1 if isinstance(costs, float) else costs.shape[0]
-        tracker.observe(costs)
-        cv_due = (cv_switch if in_secant else policy_driven) or (
-            cv_every is not None and iteration % cv_every == 0)
-        cv_raw, cv_smoothed = tracker.compute() if cv_due else (None, None)
+        costs, grad = evaluate(theta, next_samples())
+        samples += 1 if costs.__class__ is float else costs.shape[0]
+        observe(costs)
+        due = not every_iterate and iteration % cv_every == 0
+        cv_raw, cv_smoothed = (tracker.compute() if due or (
+            cv_switch if in_secant else policy_driven) else (None, None))
         if in_secant:
             alpha_i = beta_i = 0.0
             step = step_secant(prev_theta, theta, prev_grad, grad)
             theta, prev_theta, prev_grad = float(step) if as_float else step, theta, grad
         else:
             sgd_iter += 1
-            alpha_i = schedule.alpha(sgd_iter)
+            alpha_i = alpha(sgd_iter)
             if policy is not None:
                 beta_i = policy.beta(cv_smoothed)
                 theta, v = step_momentum(theta, v, grad, alpha_i, beta_i)
@@ -428,16 +443,23 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
         # an overflowed step leaves inf or NaN in theta, and both fail <= limit;
         # the risk oracle only sees iterates within the limit, whose squares are finite
         risk = None
-        diverged = not _magnitude(theta) <= DIVERGENCE_LIMIT
+        diverged = not magnitude(theta) <= limit
         if true_risk is not None and not diverged:
             risk = true_risk(theta)
-            diverged = not math.isfinite(risk)
+            diverged = not isfinite(risk)
+            # a first gap within the threshold is a new best: x - min_risk is monotone
+            if risk < best:
+                best = risk
+                if (reach is None and risk_threshold is not None
+                        and risk - min_risk <= risk_threshold):
+                    reach = iteration
         if in_secant and switch is not None and not diverged:
             in_secant = not switch.fires(theta, cv_raw if cv_switch else None)
-        yield (iteration, theta, samples, costs, risk, cv_raw, cv_smoothed,
-               alpha_i, beta_i, in_secant, diverged)
-        if diverged:
-            return
+        if due or diverged or every_iterate or iteration == n_iterations:
+            yield (iteration, theta, samples, costs, risk, cv_raw, cv_smoothed,
+                   alpha_i, beta_i, best, reach, in_secant, diverged)
+            if diverged:
+                return
 
 
 # a diverging run overflows on its way out (its costs, their CV) and the guard
@@ -476,11 +498,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
         epoch_denom = config.epoch_size
 
     has_test_set = isinstance(problem, LogisticBlobsProblem)
-    min_risk = problem.min_risk if problem.min_risk is not None else 0.0
     records: list[TraceRecord] = []
-    best_risk: Optional[float] = None
-    final_accuracy: Optional[float] = None
-    iters_to_threshold: Optional[int] = None
     last_record_epoch: Optional[int] = None
 
     run = _run_loop(
@@ -489,51 +507,41 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
         secant=config.optimizer in ("secant", "hybrid"),
         switch=config.make_switch_policy(), cv_every=eval_every,
         cv_window=config.cv_window, cv_buffer=config.cv_buffer,
-        next_samples=next_samples)
+        risk_threshold=config.risk_threshold, next_samples=next_samples)
     for (iteration, theta, samples_consumed, costs, risk, cv_raw, cv_smoothed,
-         alpha_i, beta_i, _, diverged) in run:
-        if iteration == 0 or diverged:
+         alpha_i, beta_i, best_risk, iters_to_threshold, _, diverged) in run:
+        if diverged or iteration % eval_every:  # the last iterate is not always a record
             continue
-        record_due = iteration % eval_every == 0
+        epoch = samples_consumed // epoch_denom
+        # add.reduce / n is what np.mean computes, without its wrappers
+        est_risk = (costs if isinstance(costs, float)
+                    else float(np.add.reduce(costs)) / costs.shape[0])
+        accuracy = None
+        if has_test_set and (last_record_epoch is None or epoch > last_record_epoch):
+            est_risk, accuracy = problem.test_metrics(theta)
+        records.append(TraceRecord(  # positional: keywords cost twice as much
+            int(epoch), iteration, risk, est_risk, cv_raw, cv_smoothed,
+            float(alpha_i), float(beta_i), accuracy,
+            # theta_norm: what np.linalg.norm computes for a 1-D array,
+            # whose dot of one entry is its square
+            math.sqrt(theta * theta if isinstance(theta, float)
+                      else float(theta.dot(theta)))))
+        last_record_epoch = epoch
 
-        # --- tracking ---
-        mean_cost = None
-        if risk is None or record_due:
-            # add.reduce / n is what np.mean computes, without its wrappers
-            mean_cost = (costs if isinstance(costs, float)
-                         else float(np.add.reduce(costs)) / costs.shape[0])
-        tracked = risk if risk is not None else mean_cost
-        if best_risk is None or tracked < best_risk:
-            best_risk = tracked
-        if (config.risk_threshold is not None and iters_to_threshold is None
-                and tracked - min_risk <= config.risk_threshold):
-            iters_to_threshold = iteration
-
-        # --- record ---
-        if record_due:
-            epoch = samples_consumed // epoch_denom
-            est_risk = mean_cost
-            accuracy = None
-            if has_test_set and (last_record_epoch is None or epoch > last_record_epoch):
-                est_risk, accuracy = problem.test_metrics(theta)
-                final_accuracy = accuracy
-            records.append(TraceRecord(  # positional: keywords cost twice as much
-                int(epoch), iteration, risk, est_risk, cv_raw, cv_smoothed,
-                float(alpha_i), float(beta_i), accuracy,
-                # theta_norm: what np.linalg.norm computes for a 1-D array,
-                # whose dot of one entry is its square
-                math.sqrt(theta * theta if isinstance(theta, float)
-                          else float(theta.dot(theta)))))
-            last_record_epoch = epoch
-
+    held_out = [r for r in records if r.accuracy is not None]
+    if problem.true_risk is None:  # the held-out cost, at the records that evaluate it
+        best_risk = min((r.est_risk for r in held_out), default=math.inf)
+        iters_to_threshold = next(
+            (r.iteration for r in held_out if config.risk_threshold is not None
+             and r.est_risk - (problem.min_risk or 0.0) <= config.risk_threshold), None)
     summary = RunSummary(
         final_risk=records[-1].risk if records else None,
-        best_risk=best_risk,
+        best_risk=best_risk if best_risk < math.inf else None,
         samples=samples_consumed,
         iterations=iteration,
         diverged=diverged,
         final_theta=np.atleast_1d(theta),
-        final_accuracy=final_accuracy,
+        final_accuracy=held_out[-1].accuracy if held_out else None,
         iters_to_threshold=iters_to_threshold,
     )
     return records, summary

@@ -1,14 +1,15 @@
 """Golden outputs: the SHA-256 of the trace each checked-in config writes,
 of a noisy and a noiseless least-squares trace, of cv-switch hybrid traces,
 of a small grid's summary.csv, of the `sgdlab verify --quick` and full
-`sgdlab verify` reports and of the per-seed samples-to-unit-ball counts, and
-the default-size secant-absorption claims.
+`sgdlab verify` reports, of the per-seed samples-to-unit-ball counts and of
+run summaries, and the default-size secant-absorption claims.
 
 A change that alters any output byte (draw order, evaluation order, float
 formatting, CV bookkeeping) fails here. Re-pin only with a stated reason.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,63 @@ GRID_BASE = dict(
     seed=0)
 GRID_SUMMARY_SHA256 = "5d26f723aa55d7777002027bc91c6914037e6ac194b9b1bb724b527f019f0e09"
 
+# Run summaries, as the SHA-256 of the repr of (final_risk, best_risk,
+# samples, iterations, diverged, final_theta.tolist(), final_accuracy,
+# iters_to_threshold): the traces pin only what is recorded, and the summary
+# also holds what the run loop reduces over every iterate. Recorded while
+# run_experiment still tracked the best risk itself. The logistic entries were
+# re-pinned on purpose when a problem without a true risk began to track its
+# held-out cost instead of each minibatch's mean cost.
+SUMMARY_SHA256 = {
+    "least_squares_poor_start": "7dd65789a6e9faac89b8f54ad71087f70b5bcd224a776b9d47c0199c6df2b50f",
+    "logistic_k1": "62a7231d4141462bc436ef4bd6a0fced6454fbb428035d7ae2822802adb73a16",
+    "logistic_k100": "b3ddc7cc6ad820c911d14f4cf472b47cee21239afdb55840b79235b7f63bc439",
+    "rademacher_hybrid": "85040bfdeab584cee2ba67a67c069208910a10c28737183bc3586fc116b4f401",
+    "rademacher_momentum_rolloff": "cbe6adb86f3e71ccbd678dc5b42f985413428dd41b425a93f97165e58ed6b9c2",
+    "rademacher_rm": "cd60a3e1b8c439cd14d2c023ce6a65448fbe34019ca99ef08ed58b7040d18d15",
+    "noisy_least_squares": "968b86373d16090cb1e31c297ddb6706a8ac8c4816120440b51ab7e33894534f",
+    "noiseless_least_squares": "8617c3610c810bc2c28d6e96c526d299fb0ed02338ef3ccd35ef0688416c3b66",
+    "cv_hybrid_0.9_0": "304feb34f2c0029741b9c5aa6eddb09b8bac08f715bbe989faf3fac7fe84c0af",
+    "cv_hybrid_0.9_1": "1908ad8442793e0bcb82fbcfd566871314a33e75140cb6ccb8847aa42fec1e32",
+    "cv_hybrid_0.9_2": "e4776f28fcc7448ff231814ae41c106137eb4630fad81002f91b6023a657eac5",
+    "cv_hybrid_5.0_0": "a52a4134d1822210925a2da2558e79bc783e0decdfa27c417a4dd82007dcab36",
+    "cv_hybrid_5.0_1": "35df48e419774cc76395f02df2b5d738f92642283c0aa6bb5d5f34dd1c16b9a7",
+    "cv_hybrid_5.0_2": "e0d9f8494958e134ed11b78958537ecabfe45458ced262b3575c15dcbcd42ef5",
+    # least_squares_poor_start carries its own risk_threshold (reached at 421)
+    "rademacher_rm_threshold": "966ec66a906ba0afbb858f446d8c1424cdce9bb2d725bc91e4437daebbcd4680",
+    "rademacher_momentum_rolloff_threshold":
+        "273f072e319320d03923d28ffc8fbef5e4b0ea1cc87507eb9baa193f5859792e",
+    "logistic_k1_threshold": "1acd9583acd7b6b0b6c0b47a1fbc723ec73dbb393984807b6c7fc178a2d54c71",
+    "diverges_at_1": "6b1fd17ae10d1cb1fa1cb33eba3a1892bad4232cf6edea80cfc11f40f199f4bd",
+}
+# rademacher_rm's iterate is exactly 0 at iteration 2, a gap of exactly 0.0:
+# a threshold of 0.0 tells `gap <= threshold` from `gap < threshold`
+SUMMARY_THRESHOLDS = {"rademacher_rm": 0.0, "rademacher_momentum_rolloff": 1e-3,
+                      "logistic_k1": 0.3}
+# |theta| is about 2e14 after the first step, past the divergence limit
+DIVERGES_AT_1 = dict(problem="rademacher", theta0=1e11, optimizer="sgd", alpha=1e3,
+                     epochs=1, epoch_size=10)
+
+
+def summary_config(name):
+    """The config SUMMARY_SHA256 pins under `name`."""
+    if name == "noisy_least_squares":
+        return ExperimentConfig.from_dict(NOISY_LEAST_SQUARES)
+    if name == "noiseless_least_squares":
+        return ExperimentConfig.from_dict(NOISELESS_LEAST_SQUARES)
+    if name == "diverges_at_1":
+        return ExperimentConfig.from_dict(DIVERGES_AT_1)
+    if name.startswith("cv_hybrid_"):
+        threshold, seed = name.split("_")[2:]
+        return ExperimentConfig.from_dict(
+            {**CV_HYBRID, "switch_threshold": float(threshold), "seed": int(seed)})
+    if name.endswith("_threshold"):
+        base = name[:-len("_threshold")]
+        return replace(load_config(CONFIGS / f"{base}.yaml"),
+                       risk_threshold=SUMMARY_THRESHOLDS[base])
+    return load_config(CONFIGS / f"{name}.yaml")
+
+
 # `sgdlab verify --quick` report: every claim's statistic to 17 digits, so
 # run_hybrid, the secant steps and the per-step SGD runs are all pinned.
 VERIFY_QUICK_SHA256 = "fc5b7e8e6f5adecb5dbdf1a090cab6805f6c68983bac6eea76bc027a4c5e0ad3"
@@ -146,6 +204,18 @@ def test_cv_switch_hybrid_trace_hash(threshold, seed, tmp_path):
     config = ExperimentConfig.from_dict(
         {**CV_HYBRID, "switch_threshold": threshold, "seed": seed})
     assert trace_sha256(config, tmp_path / "trace.csv") == CV_HYBRID_SHA256[threshold, seed]
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_SHA256))
+def test_run_summary_hash(name):
+    _, s = run_experiment(summary_config(name))
+    fields = (s.final_risk, s.best_risk, s.samples, s.iterations, s.diverged,
+              s.final_theta.tolist(), s.final_accuracy, s.iters_to_threshold)
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == SUMMARY_SHA256[name]
+
+
+def test_every_config_summary_is_pinned():
+    assert set(GOLDEN) <= set(SUMMARY_SHA256)
 
 
 @pytest.mark.parametrize("coefficient", sorted(UNIT_BALL_COUNTS_SHA256))

@@ -476,23 +476,33 @@ class TestRobbinsMonroRun:
 
 
 class TestCvTracker:
+    # any float64, the k = 1 route's edge values pinned
+    EDGE_COSTS = (-0.0, 5e-324, 2.2e-308, 1e308, math.inf, -math.inf, math.nan)
+
     @settings(max_examples=200, deadline=None)
     @given(size=st.integers(2, 30),
-           costs=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 4.0]),
-                                    st.floats(0.0, 1e6)), max_size=100))
-    @example(size=3, costs=[4.0, 0.0, 1.0, 4.0, 4.0, 0.0, 2.5, 1.0, 9.0, 0.0])
+           costs=st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 1.0, 4.0]),
+                                              st.sampled_from(EDGE_COSTS),
+                                              st.floats(0.0, 1e6), st.floats()),
+                                    st.booleans()), max_size=100))
+    @example(size=3, costs=[(c, False) for c in (4.0, 0.0, 1.0, 4.0, 4.0, 0.0, 2.5, 1.0,
+                                                  9.0, 0.0)])
+    @example(size=2, costs=[(c, i % 2 == 0) for i, c in enumerate(EDGE_COSTS * 2)])
     def test_trailing_costs_equal_bounded_deque(self, size, costs):
         # checked after every cost: below, at and past the buffer size, and
-        # across each wrap of the doubled array
+        # across each wrap of the doubled array; a cost comes as a Python
+        # float (a float iterate met a float sample) or as a (1,) array, and
+        # bytes are compared, since NaN != NaN
         tracker = _CvTracker(1, 10, size)
         window = deque(maxlen=size)
-        for cost in costs:
-            tracker.observe(np.array([cost]))
+        for cost, as_float in costs:
+            tracker.push(cost if as_float else np.array([cost]))
             window.append(cost)
             view, want = tracker.trailing_costs(), np.array(window)
             assert view.tobytes() == want.tobytes()
-            want_raw = estimate_cv(want) if len(window) >= 2 else None
-            assert tracker.compute()[0] == want_raw
+            with np.errstate(all="ignore"):  # inf - inf in the CV's deviations
+                want_raw = estimate_cv(want) if len(window) >= 2 else None
+                assert tracker.compute()[0] == want_raw
 
 
 class TestSampleStream:
