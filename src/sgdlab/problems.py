@@ -109,7 +109,7 @@ def too_large(what: str):
 # Every numeric config key's lower bound: the problem keys, then the run keys.
 BOUNDS = dict(dim=1, condition_number=1, noise_std=0, n_classes=2, separation=0,
               test_per_class=1, k=1, epochs=1, eval_every=1, epoch_size=1, cv_window=1,
-              train_size=1, cv_buffer=2, seed=0, problem_seed=0)
+              train_size=1, cv_buffer=2, seed=0, problem_seed=0, risk_threshold=0)
 
 
 def check_bounds(**values) -> None:

@@ -26,20 +26,11 @@ DEFAULT_SEED = 20240817
 # Secant trials start uniformly in [-START_SPAN, START_SPAN).
 START_SPAN = 10.0
 
-# Samples after which a run counts as never reaching the unit ball.
+# A hybrid run reaches the unit ball when its |theta| <= 1 switch fires, so
+# SECANT_CAP iterations is a generous cap from any poor start; pure SGD gets
+# UNIT_BALL_CAP samples. A run past its cap never reached the unit ball.
+SECANT_CAP = 200
 UNIT_BALL_CAP = 10 ** 5
-
-
-def claim_passes(statistic: float, expected: float, tolerance: float,
-                 comparison: str) -> bool:
-    """Pure pass/fail rule: 'within' |s-e|<=t, 'at_least' s>=e-t, 'below' s<e-t."""
-    if comparison == "within":
-        return abs(statistic - expected) <= tolerance
-    if comparison == "at_least":
-        return statistic >= expected - tolerance
-    if comparison == "below":
-        return statistic < expected - tolerance
-    raise ValueError(f"unknown comparison {comparison!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +45,15 @@ class OracleReport:
 
     @property
     def passed(self) -> bool:
-        return claim_passes(self.statistic, self.expected, self.tolerance,
-                            self.comparison)
+        """'within' |s-e|<=t, 'at_least' s>=e-t, 'below' s<e-t."""
+        s, e, t = self.statistic, self.expected, self.tolerance
+        if self.comparison == "within":
+            return abs(s - e) <= t
+        if self.comparison == "at_least":
+            return s >= e - t
+        if self.comparison == "below":
+            return s < e - t
+        raise ValueError(f"unknown comparison {self.comparison!r}")
 
 
 def explicit_secant_update(theta_prev2, theta_prev1, x_prev2, x_prev1):
@@ -188,46 +186,38 @@ def verify_minibatch_scaling(theta: float = 2.0, ks: Sequence[int] = (1, 10, 100
     return reports
 
 
-def _samples_to_unit_ball(theta0: float, rng: np.random.Generator,
-                          switch_threshold: float, max_iterations: int,
-                          coefficient: float) -> Optional[int]:
-    """Samples a hybrid run with a 1/t SGD rate spends before |theta| <= 1;
-    None when it runs out of iterations or diverges first."""
+def samples_to_unit_ball(theta0: float, rng: np.random.Generator, *, secant: bool,
+                         coefficient: float = 0.5) -> Optional[int]:
+    """Samples a c/i-rate run spends before |theta| <= 1; None when it runs
+    past its cap or diverges first. With `secant` it is the secant-then-SGD
+    hybrid; without, the switch fires on any finite theta0, so it is pure SGD."""
+    threshold, cap = (1.0, SECANT_CAP) if secant else (np.finfo(float).max, UNIT_BALL_CAP)
     run = run_hybrid(RademacherProblem(), theta0,
-                     SwitchPolicy(kind="abs_theta", threshold=switch_threshold),
+                     SwitchPolicy(kind="abs_theta", threshold=threshold),
                      AlphaSchedule(kind="inverse_t", value=coefficient), rng,
-                     max_iterations, stop_radius=1.0)
+                     cap, stop_radius=1.0)
     return int(run.samples[-1]) if abs(run.iterates[-1]) <= 1.0 else None
 
 
-def sgd_samples_to_unit_ball(theta0: float, rng: np.random.Generator,
-                             max_samples: int = UNIT_BALL_CAP,
-                             coefficient: float = 0.5) -> Optional[int]:
-    """Samples a 1/t-rate SGD run needs before |theta| <= 1, single-sample batches.
-
-    It is a hybrid run whose switch fires on any finite theta0, so the secant
-    phase is skipped from the start.
-    """
-    return _samples_to_unit_ball(theta0, rng, np.finfo(float).max, max_samples,
-                                 coefficient)
-
-
-def hybrid_samples_to_unit_ball(theta0: float, rng: np.random.Generator,
-                                max_iterations: int = 200,
-                                coefficient: float = 0.5) -> Optional[int]:
-    """Samples the secant-then-SGD strategy needs before |theta| <= 1.
-
-    Reaching the unit ball coincides with the |theta| <= 1 switch firing, so a
-    couple hundred iterations is a generous cap for any poor start.
-    """
-    return _samples_to_unit_ball(theta0, rng, 1.0, max_iterations, coefficient)
+def unit_ball_counts(theta0: float, n_seeds: int, seed: int = DEFAULT_SEED,
+                     coefficient: float = 0.5) -> tuple[list[Optional[int]], list[Optional[int]]]:
+    """Per-seed (hybrid, pure SGD) unit-ball counts from theta0. Seed i's runs
+    draw from the two children of SeedSequence(seed)'s i-th child, so the
+    first counts do not depend on n_seeds."""
+    hybrid, sgd = [], []
+    for stream in np.random.SeedSequence(seed).spawn(n_seeds):
+        child_h, child_s = stream.spawn(2)
+        for counts, child, secant in ((hybrid, child_h, True), (sgd, child_s, False)):
+            counts.append(samples_to_unit_ball(theta0, np.random.default_rng(child),
+                                               secant=secant, coefficient=coefficient))
+    return hybrid, sgd
 
 
 def verify_hybrid_advantage(theta0: float = 1e4, n_seeds: int = 100,
                             seed: int = DEFAULT_SEED) -> OracleReport:
     """Median samples-to-reach |theta| <= 1: hybrid (secant then SGD) over pure
     SGD with the 1/(2i) rate, reported as a ratio; the stated pass bar is
-    ratio < 1.
+    ratio < 1. A run with no count counts at UNIT_BALL_CAP samples.
 
     With the exactly quadratic scalar cost, alpha_1 = 1/2 makes the first SGD
     update theta0 - (theta0 - x) = x, which has unit magnitude, so pure SGD
@@ -237,20 +227,12 @@ def verify_hybrid_advantage(theta0: float = 1e4, n_seeds: int = 100,
     """
     if abs(theta0) < 100.0:
         raise ValueError(f"theta0 should be a poor start (|theta0| >= 100), got {theta0}")
-    streams = np.random.SeedSequence(seed).spawn(n_seeds)
-    hybrid_counts = np.empty(n_seeds)
-    sgd_counts = np.empty(n_seeds)
-    for i, stream in enumerate(streams):
-        child_h, child_s = stream.spawn(2)
-        reached_h = hybrid_samples_to_unit_ball(theta0, np.random.default_rng(child_h))
-        reached_s = sgd_samples_to_unit_ball(theta0, np.random.default_rng(child_s))
-        hybrid_counts[i] = UNIT_BALL_CAP if reached_h is None else reached_h
-        sgd_counts[i] = UNIT_BALL_CAP if reached_s is None else reached_s
-    med_h = float(np.median(hybrid_counts))
-    med_s = float(np.median(sgd_counts))
-    ratio = med_h / med_s
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    med_h, med_s = (float(np.median([UNIT_BALL_CAP if n is None else n for n in counts]))
+                    for counts in unit_ball_counts(theta0, n_seeds, seed))
     return OracleReport(
-        "hybrid_advantage_ratio", ratio, 1.0, 0.0, "below", n_seeds,
+        "hybrid_advantage_ratio", med_h / med_s, 1.0, 0.0, "below", n_seeds,
         note=f"median samples: hybrid {med_h:g}, sgd {med_s:g}")
 
 

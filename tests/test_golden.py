@@ -12,14 +12,13 @@ import hashlib
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from sgdlab.cli import main as cli_main
 from sgdlab.harness import (ExperimentConfig, load_config, run_experiment, run_grid,
                             write_trace)
-from sgdlab.verification import (DEFAULT_SEED, hybrid_samples_to_unit_ball,
-                                 sgd_samples_to_unit_ball, verify_secant_absorption)
+from sgdlab.verification import (DEFAULT_SEED, unit_ball_counts,
+                                 verify_secant_absorption)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -220,16 +219,9 @@ def test_every_config_summary_is_pinned():
 
 @pytest.mark.parametrize("coefficient", sorted(UNIT_BALL_COUNTS_SHA256))
 def test_unit_ball_counts_hash(coefficient):
-    streams = np.random.SeedSequence(DEFAULT_SEED).spawn(100)[:UNIT_BALL_SEEDS]
-    hybrid, sgd = [], []
-    for stream in streams:
-        child_h, child_s = stream.spawn(2)
-        hybrid.append(hybrid_samples_to_unit_ball(
-            1e4, np.random.default_rng(child_h), coefficient=coefficient))
-        sgd.append(sgd_samples_to_unit_ball(
-            1e4, np.random.default_rng(child_s), coefficient=coefficient))
     digests = tuple(hashlib.sha256(repr(counts).encode()).hexdigest()
-                    for counts in (hybrid, sgd))
+                    for counts in unit_ball_counts(1e4, UNIT_BALL_SEEDS,
+                                                   coefficient=coefficient))
     assert digests == UNIT_BALL_COUNTS_SHA256[coefficient]
 
 

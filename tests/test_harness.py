@@ -141,6 +141,8 @@ class TestConfigValidation:
         (dict(test_per_class=0), "^test_per_class must be >= 1, got 0$"),
         (dict(problem="least_squares", dim=2, n_classes=1), "^n_classes must be >= 2, got 1$"),
         (dict(problem="logistic", dim=2, noise_std=-1), r"^noise_std must be >= 0, got -1\.0$"),
+        # the risk gap is never negative, so a negative threshold is never met
+        (dict(risk_threshold=-1.0), r"^risk_threshold must be >= 0, got -1\.0$"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,
@@ -934,6 +936,7 @@ class TestCli:
         ("null: 3", "unknown config keys: None"),
         ("yes: 1", "unknown config keys: True"),
         ("alpha: 5.0", "config key 'alpha' is given more than once"),
+        ("risk_threshold: -1.0", "risk_threshold must be >= 0, got -1.0"),
     ])
     def test_run_bad_key_exits_1(self, tmp_path, capsys, line, message):
         bad = tmp_path / "bad.yaml"

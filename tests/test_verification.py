@@ -9,10 +9,8 @@ import pytest
 from secant_absorption_oracle import reference_secant_absorption
 from sgdlab.errors import ConfigurationError
 from sgdlab.verification import (DEFAULT_SEED, OracleReport, REPORT_HEADER, START_SPAN,
-                                 claim_passes, explicit_secant_update,
-                                 format_report, secant_trials,
-                                 sgd_samples_to_unit_ball,
-                                 hybrid_samples_to_unit_ball,
+                                 explicit_secant_update, format_report,
+                                 samples_to_unit_ball, secant_trials,
                                  verify_cv_asymptote, verify_cv_formula,
                                  verify_hybrid_advantage,
                                  verify_minibatch_scaling,
@@ -21,25 +19,20 @@ from sgdlab.verification import (DEFAULT_SEED, OracleReport, REPORT_HEADER, STAR
 
 class TestClaimPasses:
     def test_within(self):
-        assert claim_passes(1.01, 1.0, 0.02, "within")
-        assert not claim_passes(1.03, 1.0, 0.02, "within")
+        assert OracleReport("x", 1.01, 1.0, 0.02, "within", 1).passed
+        assert not OracleReport("x", 1.03, 1.0, 0.02, "within", 1).passed
 
     def test_at_least(self):
-        assert claim_passes(0.49, 0.5, 0.015, "at_least")
-        assert not claim_passes(0.47, 0.5, 0.015, "at_least")
+        assert OracleReport("x", 0.49, 0.5, 0.015, "at_least", 1).passed
+        assert not OracleReport("x", 0.47, 0.5, 0.015, "at_least", 1).passed
 
     def test_below_is_strict(self):
-        assert claim_passes(0.99, 1.0, 0.0, "below")
-        assert not claim_passes(1.0, 1.0, 0.0, "below")
+        assert OracleReport("x", 0.99, 1.0, 0.0, "below", 1).passed
+        assert not OracleReport("x", 1.0, 1.0, 0.0, "below", 1).passed
 
     def test_unknown_comparison(self):
         with pytest.raises(ValueError):
-            claim_passes(1.0, 1.0, 0.0, "near")
-
-    def test_report_pass_is_pure_function_of_fields(self):
-        r = OracleReport("x", 0.5, 0.5, 0.0, "at_least", 10)
-        assert r.passed == claim_passes(r.statistic, r.expected, r.tolerance,
-                                        r.comparison)
+            OracleReport("x", 1.0, 1.0, 0.0, "near", 1).passed
 
 
 class TestExplicitSecant:
@@ -222,7 +215,7 @@ class TestHybridAdvantage:
         # alpha_1 = 1/2 and gradient 2(theta - x) make step one land exactly
         # on x, so |theta| reaches 1 after a single sample from any start
         for seed in range(20):
-            reached = sgd_samples_to_unit_ball(1e4, np.random.default_rng(seed))
+            reached = samples_to_unit_ball(1e4, np.random.default_rng(seed), secant=False)
             assert reached == 1
 
     def test_half_integer_coefficient_lands_at_sample_2c(self):
@@ -231,8 +224,8 @@ class TestHybridAdvantage:
         # acceptance criterion excludes these rates as comparators
         for m in (1, 2, 3, 4):
             for seed in range(20):
-                reached = sgd_samples_to_unit_ball(
-                    1e4, np.random.default_rng(seed), coefficient=m / 2)
+                reached = samples_to_unit_ball(
+                    1e4, np.random.default_rng(seed), secant=False, coefficient=m / 2)
                 assert reached == m, f"coefficient {m / 2}, seed {seed}"
 
     @pytest.mark.parametrize("theta0,coefficient", [
@@ -244,18 +237,19 @@ class TestHybridAdvantage:
         # is a diverged run, which has no count
         rng = np.random.default_rng(0)
         if math.isfinite(theta0):
-            assert sgd_samples_to_unit_ball(theta0, rng, coefficient=coefficient) is None
+            assert samples_to_unit_ball(theta0, rng, secant=False,
+                                        coefficient=coefficient) is None
         else:
             with pytest.raises(ConfigurationError, match="non-finite"):
-                sgd_samples_to_unit_ball(theta0, rng, coefficient=coefficient)
+                samples_to_unit_ball(theta0, rng, secant=False, coefficient=coefficient)
 
     def test_hybrid_run_that_overflows_has_no_count(self):
         # the start is finite; the secant steps from it overflow
-        assert hybrid_samples_to_unit_ball(1e308, np.random.default_rng(0)) is None
+        assert samples_to_unit_ball(1e308, np.random.default_rng(0), secant=True) is None
 
     def test_hybrid_needs_at_least_two_samples(self):
         for seed in range(20):
-            reached = hybrid_samples_to_unit_ball(1e4, np.random.default_rng(seed))
+            reached = samples_to_unit_ball(1e4, np.random.default_rng(seed), secant=True)
             assert reached is not None and reached >= 2
 
     def test_report_records_honest_medians(self):
@@ -267,6 +261,11 @@ class TestHybridAdvantage:
     def test_rejects_good_starts(self):
         with pytest.raises(ValueError):
             verify_hybrid_advantage(theta0=1.0, n_seeds=2)
+
+    def test_rejects_no_seeds(self):
+        # the medians of no runs are NaN, which no claim can be judged on
+        with pytest.raises(ValueError, match="^n_seeds must be >= 1, got 0$"):
+            verify_hybrid_advantage(n_seeds=0)
 
 
 class TestFullSuite:
