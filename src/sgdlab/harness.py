@@ -358,7 +358,7 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
               policy: Optional[RolloffPolicy] = None,
               secant: bool = False, switch: Optional[SwitchPolicy] = None,
               cv_every: Optional[int] = None, cv_window: int = 10, cv_buffer: int = 100,
-              risk_threshold: Optional[float] = None, next_samples=None):
+              risk_threshold: Optional[float] = None, train_size: Optional[int] = None):
     """The one run loop, behind `run_experiment` and `run_hybrid`.
 
     With `secant`, secant steps until `switch` fires (never when it is None),
@@ -368,10 +368,10 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
     the (1,) array `theta`; other problems keep their array, whatever its
     size. The secant phase still steps through the one array `step_secant`,
     the code verification uses, and a float iterate takes `float()` of its
-    0-d result. Samples come from `minibatches` sized to the run, or from the
-    `next_samples()` finite-set epochs pass. What each iteration calls is bound
-    once per run; the steps and CV functions are looked up in this module on
-    each call, where perfbench's tracer wraps them.
+    0-d result. Samples come from `minibatches` sized to the run, over a
+    finite set of `train_size` samples where one is given. What each
+    iteration calls is bound once per run; the steps and CV functions are
+    looked up in this module on each call, where perfbench's tracer wraps them.
 
     The loop reduces: it keeps the best true risk (inf while there is none)
     and the first iteration whose gap to `problem.min_risk` is within
@@ -409,9 +409,9 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
         in_secant = switch is None or not switch.fires(theta, None)
         if every_iterate:
             yield 0, theta, 0, None, None, None, None, 0.0, 0.0, best, None, in_secant, False
-    if next_samples is None:
-        # a secant phase first spends one sample on the gradient at theta0
-        next_samples = minibatches(problem, rng, k, n_iterations + int(in_secant)).__next__
+    # a secant phase first spends one sample on the gradient at theta0
+    next_samples = minibatches(problem, rng, k, n_iterations + int(in_secant),
+                               train_size).__next__
     if in_secant:
         init_costs, init_grad = evaluate(start, next_samples())
         samples += 1
@@ -468,38 +468,20 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
 def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSummary]:
     """Run one seeded experiment, returning its trace records and summary.
 
-    RNG draw order (all from one PCG64 stream seeded by config.seed):
-    start direction (theta0_scale mode only), then the finite train set
-    (finite mode), then per-epoch shuffles / per-iteration fresh draws.
-    Fresh samples are drawn in blocks on rademacher (see `Problem.block_draws`)
-    and once per minibatch on the other problems; the draw order and the
-    traces are the same either way. theta is validated once, with the config;
-    the loop evaluates the problem on it directly.
+    RNG draw order (all from one PCG64 stream seeded by config.seed): start
+    direction (theta0_scale mode only), then the samples, all drawn in
+    `problems.minibatches`: the finite train set and per-epoch shuffles
+    (finite mode), or per-iteration fresh draws. theta is validated once,
+    with the config. Where `problem.test_metrics` is declared, the first
+    record of each epoch carries the held-out cost and accuracy.
     """
     problem = build_problem(config)
     rng = np.random.default_rng(config.seed)
     theta = initial_theta(config, problem, rng)
-    eval_every = config.eval_every
-
-    next_samples = None
-    if config.train_size is not None:
-        train_size = epoch_denom = config.train_size
-        with too_large(f"train_size = {train_size} is too large to draw"):
-            train = problem.sample(rng, train_size)
-
-        def epoch_batches():
-            for _ in range(config.epochs):
-                perm = rng.permutation(train_size)
-                for start in range(0, train_size, config.k):
-                    yield problem.subset(train, perm[start:start + config.k])
-
-        next_samples = epoch_batches().__next__
-    else:
-        epoch_denom = config.epoch_size
-
-    has_test_set = isinstance(problem, LogisticBlobsProblem)
+    eval_every, test_metrics = config.eval_every, problem.test_metrics
+    epoch_denom = config.epoch_size if config.train_size is None else config.train_size
     records: list[TraceRecord] = []
-    last_record_epoch: Optional[int] = None
+    last_record_epoch = -1  # epochs count from 0
 
     run = _run_loop(
         problem, theta, rng, config.make_alpha_schedule(), config.total_iterations(),
@@ -507,7 +489,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
         secant=config.optimizer in ("secant", "hybrid"),
         switch=config.make_switch_policy(), cv_every=eval_every,
         cv_window=config.cv_window, cv_buffer=config.cv_buffer,
-        risk_threshold=config.risk_threshold, next_samples=next_samples)
+        risk_threshold=config.risk_threshold, train_size=config.train_size)
     for (iteration, theta, samples_consumed, costs, risk, cv_raw, cv_smoothed,
          alpha_i, beta_i, best_risk, iters_to_threshold, _, diverged) in run:
         if diverged or iteration % eval_every:  # the last iterate is not always a record
@@ -517,8 +499,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
         est_risk = (costs if isinstance(costs, float)
                     else float(np.add.reduce(costs)) / costs.shape[0])
         accuracy = None
-        if has_test_set and (last_record_epoch is None or epoch > last_record_epoch):
-            est_risk, accuracy = problem.test_metrics(theta)
+        if test_metrics is not None and epoch > last_record_epoch:
+            est_risk, accuracy = test_metrics(theta)
         records.append(TraceRecord(  # positional: keywords cost twice as much
             int(epoch), iteration, risk, est_risk, cv_raw, cv_smoothed,
             float(alpha_i), float(beta_i), accuracy,

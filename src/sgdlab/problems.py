@@ -35,6 +35,7 @@ class Problem:
 
     dim: int = 1
     true_risk = None  # a method true_risk(theta) where the risk has a closed form
+    test_metrics = None  # a method test_metrics(theta) -> (held-out cost, accuracy)
     min_risk: Optional[float] = None  # the risk's minimum, where known
     # True when a run draws its fresh samples in blocks: one sample(rng, m * k)
     # call returns exactly the samples of m successive sample(rng, k) calls, and
@@ -68,8 +69,10 @@ class Problem:
         return self.evaluate(theta, samples)[1]
 
     def subset(self, samples, idx):
-        """Select samples by integer index array (epoch shuffles) or slice (block draws)."""
-        raise NotImplementedError
+        """Select samples by integer index array (epoch shuffles) or slice
+        (block draws); this one serves a (features, targets) payload."""
+        features, targets = samples
+        return features[idx], targets[idx]
 
 
 def _as_theta(theta, dim: int) -> Array:
@@ -124,19 +127,33 @@ def check_bounds(**values) -> None:
 BLOCK_COORDINATES = 2 ** 16
 
 
-def minibatches(problem: Problem, rng: np.random.Generator, k: int, n_batches: int):
-    """A run's fresh minibatches of k samples, in the run's RNG draw order.
+def minibatches(problem: Problem, rng: np.random.Generator, k: int, n_batches: int,
+                train_size: Optional[int] = None):
+    """A run's minibatches of k samples, in the run's RNG draw order: the one
+    place a run draws, shuffles and slices samples.
 
-    Where `problem.block_draws` holds (rademacher only), one `sample` call
-    draws a block of 1, 2, 4, ... minibatches (at most BLOCK_COORDINATES
-    coordinates, never more than the run still needs) and `problem.subset`
-    slices each from it in turn, so a run that stops early has drawn under
-    twice the samples it spent plus one. Other problems draw once per
-    minibatch. Both give the same samples, and a run that takes all
-    `n_batches` leaves the generator where per-call draws do.
-    A `float_iterate` problem's blocked one-sample minibatches are floats, one
-    `tolist()` per block. A draw too large for numpy is a config error on k.
+    With `train_size`, the finite train set is drawn first; each epoch then
+    draws one permutation and yields the set k samples at a time, the last
+    minibatch short where k does not divide train_size.
+
+    Otherwise every minibatch is fresh. Where `problem.block_draws` holds
+    (rademacher only), one `sample` call draws a block of 1, 2, 4, ...
+    minibatches (at most BLOCK_COORDINATES coordinates, never more than the
+    run still needs) and `problem.subset` slices each from it in turn, so a
+    run that stops early has drawn under twice the samples it spent plus one.
+    Other problems draw once per minibatch. Both give the same samples, and a
+    run that takes all `n_batches` leaves the generator where per-call draws
+    do. A `float_iterate` problem's blocked one-sample minibatches are floats,
+    one `tolist()` per block. A draw too large for numpy is a config error on
+    train_size or k.
     """
+    if train_size is not None:
+        with too_large(f"train_size = {train_size} is too large to draw"):
+            train = problem.sample(rng, train_size)
+        while True:
+            perm = rng.permutation(train_size)
+            for start in range(0, train_size, k):
+                yield problem.subset(train, perm[start:start + k])
     cap = BLOCK_COORDINATES // (k * problem.dim) if problem.block_draws else 0
     drawn = 0
     # only a draw allocates here, and only the first, of k samples, can be too large
@@ -166,7 +183,6 @@ def minibatches(problem: Problem, rng: np.random.Generator, k: int, n_batches: i
 class RademacherProblem(Problem):
     """Scalar squared-distance cost to a random +/-1 target."""
 
-    dim = 1
     block_draws = True  # one integers() fill, consumed in draw order
     float_iterate = True
     min_risk = 1.0
@@ -175,10 +191,10 @@ class RademacherProblem(Problem):
         # the run loop passes its float iterate, or a checked (1,) array on
         # the array route, so no re-check
         t = theta if isinstance(theta, float) else float(theta[0])
-        return t ** 2 + 1.0
+        return t * t + 1.0  # t ** 2 is libm pow, not always the rounded square
 
     def true_cv(self, theta: float) -> float:
-        return 2.0 * abs(theta) / (theta ** 2 + 1.0)
+        return 2.0 * abs(theta) / self.true_risk(theta)
 
     def sample(self, rng: np.random.Generator, n: int) -> Array:
         return rng.integers(0, 2, size=n) * 2.0 - 1.0  # int64 * float is float64
@@ -244,10 +260,6 @@ class LeastSquaresProblem(Problem):
 
     costs, mean_gradient = Problem.costs, Problem.mean_gradient
 
-    def subset(self, samples, idx):
-        features, targets = samples
-        return features[idx], targets[idx]
-
 
 # ---------------------------------------------------------------------------
 # Linear-softmax classification on class-conditional Gaussian blobs.
@@ -312,10 +324,6 @@ class LogisticBlobsProblem(Problem):
         grad_w = probs.T @ features / n
         grad_b = probs.mean(axis=0)
         return costs, np.concatenate([grad_w.ravel(), grad_b])
-
-    def subset(self, samples, idx):
-        features, labels = samples
-        return features[idx], labels[idx]
 
     def test_metrics(self, theta) -> tuple[float, float]:
         """(mean test cost, test accuracy) on the fixed held-out set."""

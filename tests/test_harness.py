@@ -303,6 +303,14 @@ class TestEpochAccounting:
         # epoch column is floor(samples_consumed / train_size)
         assert [r.epoch for r in records] == [0, 0, 0, 1, 1, 1, 1, 2]
 
+    def test_declared_test_metrics_fill_each_epochs_first_record(self, monkeypatch):
+        # run_experiment reads the declaration, not the problem's class
+        monkeypatch.setattr(RademacherProblem, "test_metrics", lambda self, theta: (0.5, 0.25))
+        records, _ = run_experiment(make_config(epochs=2, epoch_size=10, k=4))
+        assert [(r.epoch, r.accuracy) for r in records] == [
+            (0, 0.25), (0, None), (1, 0.25), (1, None), (2, 0.25)]
+        assert [r.est_risk for r in records if r.accuracy is not None] == [0.5] * 3
+
     def test_infinite_mode_epoch_column(self):
         cfg = make_config(epochs=2, epoch_size=10, k=4, eval_every=1)
         records, _ = run_experiment(cfg)
@@ -567,6 +575,34 @@ class TestSampleStream:
         assert np.array_equal(summary.final_theta, summary_off.final_theta)
         assert (summary.samples, summary.iterations, summary.diverged) == (
             summary_off.samples, summary_off.iterations, summary_off.diverged)
+
+    @pytest.mark.parametrize("k,epoch_sizes", [(5, [5, 5]), (3, [3, 3, 3, 1])],
+                             ids=["k-divides", "short-last-minibatch"])
+    @pytest.mark.parametrize("problem", [
+        RademacherProblem(), LeastSquaresProblem(3, 10.0, 0.1, seed=2)],
+        ids=["rademacher", "least_squares"])
+    def test_finite_set_equals_epoch_loop(self, problem, k, epoch_sizes):
+        def epoch_batches(rng, train_size, epochs):
+            """The finite-set epochs run_experiment drew before minibatches did."""
+            train = problem.sample(rng, train_size)
+            for _ in range(epochs):
+                perm = rng.permutation(train_size)
+                for start in range(0, train_size, k):
+                    yield problem.subset(train, perm[start:start + k])
+
+        def parts(batch):  # rademacher's array, or least squares' (features, targets)
+            return (batch,) if isinstance(batch, np.ndarray) else batch
+
+        n_batches = 3 * len(epoch_sizes)
+        rng, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
+        stream = minibatches(problem, rng, k, n_batches, train_size=10)
+        got = [next(stream) for _ in range(n_batches)]
+        want = list(epoch_batches(rng_ref, 10, 3))
+        assert [len(parts(batch)[-1]) for batch in got] == epoch_sizes * 3
+        assert len(want) == n_batches
+        for batch, ref in zip(got, want):
+            assert [p.tobytes() for p in parts(batch)] == [p.tobytes() for p in parts(ref)]
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     def test_noiseless_least_squares_draws_once_per_minibatch(self, monkeypatch):
         # k * dim = 7000: blocks of up to 9 minibatches would fit under the cap

@@ -111,6 +111,13 @@ class TestRademacher:
         assert abs(p.true_cv(10.0) - 20.0 / 101.0) < 1e-15
         assert abs(p.true_risk(np.zeros(1)) - p.min_risk) < 1e-12
 
+    def test_risk_is_the_rounded_square(self):
+        # x ** 2 goes to libm pow, which rounds this square 1 ulp off on some
+        # CPUs and libcs; x * x is the correctly rounded product everywhere
+        x, p = -5553.341962716594, RademacherProblem()
+        assert p.true_risk(x) == p.true_risk(np.array([x])) == x * x + 1.0
+        assert p.true_cv(x) == 2.0 * abs(x) / (x * x + 1.0)
+
     @pytest.mark.parametrize("theta", [0.1, 1.0, 10.0])
     def test_empirical_mean_cost(self, theta):
         rng = np.random.default_rng(int(theta * 1000) + 1)
