@@ -1,7 +1,7 @@
 """Command-line entry points: run, grid, plot, verify.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime divergence or failed
-verification claims, 3 I/O error.
+Exit codes: 0 success, 1 configuration error (a bad command line too), 2
+runtime divergence (any run of a grid) or failed verification claims, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ def _cmd_grid(args) -> int:
         print(f"  mom={cell.momentum:g} lr={cell.learning_rate:g} "
               f"median_final_risk={cell.median_final_risk} "
               f"diverged={cell.n_diverged}/{cell.n_seeds}")
+    if diverged := sum(cell.n_diverged for cell in cells):
+        print(f"{diverged} of {sum(cell.n_seeds for cell in cells)} runs diverged", file=sys.stderr)
+        return EXIT_DIVERGED
     return EXIT_OK
 
 
@@ -65,8 +68,16 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_DIVERGED
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a configuration error (exit 1), after the usage line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgdlab",
         description="Stochastic-optimization benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigurationError, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -110,7 +121,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -145,12 +145,7 @@ class ExperimentConfig:
             if self.train_size is not None:
                 raise ConfigurationError(
                     "secant/hybrid draw fresh samples; train_size is not supported")
-        # constructing these checks their keys, also where the optimizer
-        # ignores them; alpha itself is checked above
-        AlphaSchedule(kind=self.alpha_schedule)
-        RolloffPolicy(kind="constant" if self.beta_policy is None else self.beta_policy,
-                      beta_max=self.beta_max, cv_low=self.cv_low, cv_high=self.cv_high)
-        SwitchPolicy(kind=self.switch_kind, threshold=self.switch_threshold)
+        self.run_parts()  # checks the keys of the parts the optimizer ignores too
         dim, largest = problem_size(self)
         with too_large(f"{self.problem} problem is too large to build"):
             np.empty(largest)  # numpy's size errors, and no page is touched
@@ -184,25 +179,21 @@ class ExperimentConfig:
             raise ConfigurationError("theta0 has non-finite entries")
         return values
 
-    def make_alpha_schedule(self) -> Optional[AlphaSchedule]:
-        if self.alpha is None:
-            return None
-        return AlphaSchedule(kind=self.alpha_schedule, value=self.alpha)
-
-    def make_rolloff_policy(self) -> Optional[RolloffPolicy]:
-        """The momentum optimizer's policy; a constant `beta` is the constant
-        roll-off policy, so the run loop has one momentum source."""
-        if self.optimizer != "momentum":
-            return None
+    def run_parts(self) -> tuple[Optional[AlphaSchedule], Optional[RolloffPolicy],
+                                 Optional[SwitchPolicy]]:
+        """(alpha schedule, roll-off policy, switch policy), None for a part the
+        optimizer does not take. All three are built, so their keys are checked
+        (a missing alpha at a placeholder value); a constant `beta` is the
+        constant roll-off policy at `beta_max = beta`: one momentum source."""
+        schedule = AlphaSchedule(self.alpha_schedule, 1.0 if self.alpha is None else self.alpha)
+        policy = RolloffPolicy("constant" if self.beta_policy is None else self.beta_policy,
+                               self.beta_max, self.cv_low, self.cv_high)
         if self.beta is not None:
-            return RolloffPolicy("constant", beta_max=self.beta)
-        return RolloffPolicy(kind=self.beta_policy, beta_max=self.beta_max,
-                             cv_low=self.cv_low, cv_high=self.cv_high)
-
-    def make_switch_policy(self) -> Optional[SwitchPolicy]:
-        if self.optimizer != "hybrid":
-            return None
-        return SwitchPolicy(kind=self.switch_kind, threshold=self.switch_threshold)
+            policy = replace(policy, beta_max=self.beta)
+        switch = SwitchPolicy(self.switch_kind, self.switch_threshold)
+        return (None if self.alpha is None else schedule,
+                policy if self.optimizer == "momentum" else None,
+                switch if self.optimizer == "hybrid" else None)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -483,11 +474,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
     records: list[TraceRecord] = []
     last_record_epoch = -1  # epochs count from 0
 
+    schedule, policy, switch = config.run_parts()
     run = _run_loop(
-        problem, theta, rng, config.make_alpha_schedule(), config.total_iterations(),
-        k=config.k, policy=config.make_rolloff_policy(),
-        secant=config.optimizer in ("secant", "hybrid"),
-        switch=config.make_switch_policy(), cv_every=eval_every,
+        problem, theta, rng, schedule, config.total_iterations(), k=config.k,
+        policy=policy, secant=config.optimizer in ("secant", "hybrid"),
+        switch=switch, cv_every=eval_every,
         cv_window=config.cv_window, cv_buffer=config.cv_buffer,
         risk_threshold=config.risk_threshold, train_size=config.train_size)
     for (iteration, theta, samples_consumed, costs, risk, cv_raw, cv_smoothed,

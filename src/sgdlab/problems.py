@@ -296,15 +296,9 @@ class LogisticBlobsProblem(Problem):
                          + rng.standard_normal((test_labels.shape[0], self.n_features)))
         self._test_set = (test_features, test_labels)
 
-    def _unpack(self, theta: Array):
-        nw = self.n_classes * self.n_features
-        weights = theta[:nw].reshape(self.n_classes, self.n_features)
-        biases = theta[nw:]
-        return weights, biases
-
     def _log_probs(self, theta: Array, features: Array) -> Array:
-        weights, biases = self._unpack(theta)
-        logits = features @ weights.T + biases
+        nw = self.n_classes * self.n_features  # the weights, row-major, then the biases
+        logits = features @ theta[:nw].reshape(self.n_classes, self.n_features).T + theta[nw:]
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 

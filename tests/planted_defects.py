@@ -45,6 +45,8 @@ DEFECTS = (
     ("src/sgdlab/problems.py", "return r * r, (2.0 / r.shape[0]) * (features.T @ r)",
      "return r * r, (1.0 / r.shape[0]) * (features.T @ r)",
      "least-squares gradient halved"),
+    ("src/sgdlab/harness.py", "policy = replace(policy, beta_max=self.beta)",
+     "policy = replace(policy, beta_max=self.beta_max)", "constant beta runs at beta_max"),
 )
 
 # tier-1 without the golden hashes, stopping at the first failure; the

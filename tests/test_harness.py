@@ -3,7 +3,10 @@ trace round-trips, grids, and the CLI exit codes."""
 
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from collections import deque
 from pathlib import Path
@@ -14,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sgdlab.cli import main as cli_main
 from sgdlab.errors import ConfigurationError, TraceFormatError
-from sgdlab.diagnostics import estimate_cv
+from sgdlab.diagnostics import RolloffPolicy, estimate_cv
 from sgdlab import harness
 from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, TraceRecord, _CvTracker,
                             _run_loop, build_problem, load_config, problem_size, read_trace,
@@ -277,6 +280,47 @@ class TestConfigValidation:
             eval_every=1, seed=seed, cv_window=cv_window, cv_buffer=cv_buffer,
             risk_threshold=risk))
         assert ExperimentConfig.from_dict(dataclasses.asdict(config)) == config
+
+
+
+class TestRunParts:
+    """`ExperimentConfig.run_parts`: the schedule, roll-off policy and switch
+    an optimizer takes, each equal to the part built directly from its keys."""
+
+    @pytest.mark.parametrize("overrides,takes", [
+        (dict(optimizer="sgd"), (True, False, False)),
+        (dict(optimizer="momentum", beta=0.5), (True, True, False)),
+        (dict(optimizer="momentum", beta_policy="cv_linear"), (True, True, False)),
+        (dict(optimizer="secant", alpha=None), (False, False, False)),
+        (dict(optimizer="hybrid"), (True, False, True)),
+    ])
+    def test_parts_the_optimizer_does_not_take_are_none(self, overrides, takes):
+        parts = make_config(**overrides).run_parts()
+        assert tuple(part is not None for part in parts) == takes
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.95])
+    def test_constant_beta_is_the_constant_policy_at_beta(self, beta):
+        # the config's beta_max (0.9 by default) plays no part
+        _, policy, _ = make_config(optimizer="momentum", beta=beta).run_parts()
+        assert policy == RolloffPolicy("constant", beta_max=beta)
+        assert policy.beta(None) == policy.beta(5.0) == beta
+
+    @pytest.mark.parametrize("overrides,parts", [
+        (dict(optimizer="momentum", alpha=0.3, alpha_schedule="inverse_t",
+              beta_policy="cv_threshold", beta_max=0.8, cv_low=0.2, cv_high=1.5),
+         (AlphaSchedule("inverse_t", 0.3), RolloffPolicy("cv_threshold", 0.8, 0.2, 1.5),
+          None)),
+        (dict(optimizer="momentum", alpha=0.05, beta_policy="cv_linear", beta_max=0.6),
+         (AlphaSchedule("constant", 0.05), RolloffPolicy("cv_linear", 0.6), None)),
+        (dict(optimizer="hybrid", alpha=2.0, alpha_schedule="inverse_t",
+              switch_kind="cv", switch_threshold=0.7),
+         (AlphaSchedule("inverse_t", 2.0), None, SwitchPolicy("cv", 0.7))),
+        (dict(optimizer="hybrid", switch_threshold=3.0),
+         (AlphaSchedule("constant", 0.1), None, SwitchPolicy("abs_theta", 3.0))),
+        (dict(optimizer="secant", alpha=None, switch_kind="cv"), (None, None, None)),
+    ])
+    def test_parts_equal_direct_construction(self, overrides, parts):
+        assert make_config(**overrides).run_parts() == parts
 
 
 class TestEpochAccounting:
@@ -1094,3 +1138,46 @@ class TestCli:
         out = capsys.readouterr().out
         assert "13/14 claims passed" in out
         assert (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["bogus"],
+        ["grid", "configs/least_squares_poor_start.yaml", "--momenta", "x"],
+    ], ids=["run-without-config", "unknown-command", "momenta-not-a-number"])
+    def test_usage_errors_exit_1(self, argv, capsys):
+        # a bad command line is a configuration error; argparse's usage line stays
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: sgdlab")
+        assert "\nerror: sgdlab" in captured.err
+        assert captured.out == ""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sgdlab run")
+
+    def test_grid_with_a_diverged_run_exits_2(self, tmp_path, capsys):
+        # 0.01 is above least_squares_poor_start's stability limit of 1e-3, 8e-4 below
+        out = tmp_path / "g"
+        code = cli_main(["grid", "configs/least_squares_poor_start.yaml", "--momenta", "0",
+                         "--learning-rates", "0.01", "0.0008", "--seeds", "1",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "1 of 2 runs diverged\n"
+        assert len(list(out.glob("trace_*.csv"))) == 2
+        rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()]
+        assert [(float(row[1]), int(row[3])) for row in rows[1:]] == [(0.01, 1), (0.0008, 0)]
+
+    def test_python_m_sgdlab_runs_the_cli(self, tmp_path):
+        root = CONFIG_DIR.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "sgdlab", "run", "configs/rademacher_rm.yaml",
+             "--out", str(tmp_path / "m")],
+            cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert cli_main(["run", "configs/rademacher_rm.yaml", "--out", str(tmp_path / "c")]) == 0
+        trace = "rademacher_rm.trace.csv"
+        assert (tmp_path / "m" / trace).read_bytes() == (tmp_path / "c" / trace).read_bytes()
