@@ -123,7 +123,8 @@ def check_bounds(**values) -> None:
 
 
 # Most sample coordinates (k * dim per minibatch) one block draw may hold, so
-# a run's memory stays flat in dim.
+# a run's memory stays flat in dim. verification's CV and minibatch claims
+# draw their Monte Carlo samples in blocks of at most as many too.
 BLOCK_COORDINATES = 2 ** 16
 
 

@@ -19,7 +19,7 @@ from .diagnostics import estimate_cv
 from .errors import ConfigurationError
 from .harness import run_hybrid
 from .optimizers import AlphaSchedule, SwitchPolicy, step_secant
-from .problems import RademacherProblem
+from .problems import BLOCK_COORDINATES, RademacherProblem
 
 DEFAULT_SEED = 20240817
 
@@ -79,13 +79,20 @@ def verify_cv_formula(thetas: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 10.0),
     Tolerance is a 4-sigma delta-method band: the sample std of a symmetric
     two-point cost concentrates at O(1/n), so the estimator noise is dominated
     by the sample mean and SE(cv_hat) ~ cv^2 / sqrt(n).
+
+    The costs are drawn in blocks of BLOCK_COORDINATES into one buffer that
+    every theta reuses, with the samples and bits of one n-sized draw.
     """
     rng = np.random.default_rng(seed)
     problem = RademacherProblem()
+    costs = np.empty(n)
     reports = []
     for theta in thetas:
-        xs = problem.sample(rng, n)
-        statistic = estimate_cv((theta - xs) ** 2)
+        for start in range(0, n, BLOCK_COORDINATES):
+            part = costs[start:start + BLOCK_COORDINATES]
+            np.subtract(theta, problem.sample(rng, part.shape[0]), out=part)
+            np.multiply(part, part, out=part)
+        statistic = estimate_cv(costs)
         expected = problem.true_cv(theta)
         tolerance = float(4.0 * expected ** 2 / np.sqrt(n))
         reports.append(OracleReport(
@@ -147,6 +154,9 @@ def verify_secant_absorption(n_trials: int = 10 ** 4, seed: int = DEFAULT_SEED,
     the explicit closed form on every trial. Long-run: the median |theta|
     after `long_run_steps` iterations stays at or above 0.5.
     """
+    for name, trials in (("n_trials", n_trials), ("long_run_trials", long_run_trials)):
+        if trials < 1:
+            raise ValueError(f"{name} must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     (t2, t1), xs, theta_new = secant_trials(rng, n_trials, 1)
     explicit = explicit_secant_update(t2, t1, xs[0], xs[1])
@@ -170,14 +180,23 @@ def verify_secant_absorption(n_trials: int = 10 ** 4, seed: int = DEFAULT_SEED,
 def verify_minibatch_scaling(theta: float = 2.0, ks: Sequence[int] = (1, 10, 100),
                              m: int = 10 ** 4, seed: int = DEFAULT_SEED) -> list[OracleReport]:
     """Std across m minibatches of the minibatch mean cost vs sigma(theta)/sqrt(k),
-    within 5% relative."""
+    within 5% relative. The minibatches are drawn as whole rows, as many as
+    fit in BLOCK_COORDINATES (at least one) at a time: a row's mean does not
+    depend on the other rows, so this is one m * k draw's statistic."""
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
+    if any(k < 1 for k in ks):
+        raise ValueError(f"each k must be >= 1, got {min(ks)}")
     rng = np.random.default_rng(seed)
     problem = RademacherProblem()
     sigma = 2.0 * abs(theta)
     reports = []
     for k in ks:
-        xs = problem.sample(rng, m * k).reshape(m, k)
-        means = ((theta - xs) ** 2).mean(axis=1)
+        rows = max(1, BLOCK_COORDINATES // k)
+        means = np.empty(m)
+        for start in range(0, m, rows):
+            xs = problem.sample(rng, min(rows, m - start) * k).reshape(-1, k)
+            means[start:start + rows] = ((theta - xs) ** 2).mean(axis=1)
         statistic = float(means.std(ddof=1))
         expected = float(sigma / np.sqrt(k))
         reports.append(OracleReport(

@@ -2,12 +2,15 @@
 the closed-form cross-checks at reduced sample sizes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from monte_carlo_oracle import reference_cv_formula, reference_minibatch_scaling
 from secant_absorption_oracle import reference_secant_absorption
 from sgdlab.errors import ConfigurationError
+from sgdlab.problems import BLOCK_COORDINATES
 from sgdlab.verification import (DEFAULT_SEED, OracleReport, REPORT_HEADER, START_SPAN,
                                  explicit_secant_update, format_report,
                                  samples_to_unit_ball, secant_trials,
@@ -95,6 +98,74 @@ def sized_call_draws(rng, n_trials, n_steps):
 
 def assert_same_draws(got, want):
     assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+def drawn_with(monkeypatch, claim, **kwargs):
+    """A claim's reports and the one generator it drew them from."""
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(default_rng(seed)) or made[-1])
+    reports = claim(**kwargs)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    (rng,) = made
+    return reports, rng
+
+
+def assert_same_draws_and_reports(got, want):
+    """Every report field bit for bit, and the generator where the one-draw
+    reference left it: same state, same next draw."""
+    (reports, rng), (ref_reports, ref_rng) = got, want
+    assert repr(reports) == repr(ref_reports)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.integers(0, 2) == ref_rng.integers(0, 2)
+
+
+def traced_peak(claim, **kwargs) -> int:
+    """Peak bytes tracemalloc saw while the claim ran; numpy reports its
+    array allocations to it."""
+    tracemalloc.start()
+    try:
+        claim(**kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockDraws:
+    """The claims draw and reduce in blocks of at most BLOCK_COORDINATES
+    coordinates, and give the one-draw reference's bits."""
+
+    # below one block, one block exactly, and a short last block
+    @pytest.mark.parametrize("n", [1000, BLOCK_COORDINATES, 2 * BLOCK_COORDINATES + 123])
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1])
+    def test_cv_formula_equals_one_draw(self, monkeypatch, n, seed):
+        thetas = (0.1, 0.3, 1.0, 2.0, 10.0)
+        assert_same_draws_and_reports(
+            drawn_with(monkeypatch, verify_cv_formula, thetas=thetas, n=n, seed=seed),
+            reference_cv_formula(thetas, n, seed))
+
+    # (ks, m): k = 1 and k = 3 with m not a multiple of the rows per block
+    # (65536 and 21845), m below one block's rows, and a k whose one row
+    # is over the cap
+    @pytest.mark.parametrize("ks,m", [((1, 3, 10, 100), 70001), ((3,), 5),
+                                      ((BLOCK_COORDINATES + 1,), 3)])
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1])
+    def test_minibatch_scaling_equals_one_draw(self, monkeypatch, ks, m, seed):
+        # a theta whose costs are not integers, so the row sums round
+        theta = 0.3
+        assert_same_draws_and_reports(
+            drawn_with(monkeypatch, verify_minibatch_scaling, theta=theta, ks=ks, m=m,
+                       seed=seed),
+            reference_minibatch_scaling(theta, ks, m, seed))
+
+    def test_cv_formula_holds_one_cost_buffer_and_its_deviations(self):
+        n = 10 ** 6  # the one-draw version peaked at three n-sized arrays
+        assert traced_peak(verify_cv_formula, n=n) <= 2 * 8 * n + 10 ** 6
+
+    def test_minibatch_scaling_holds_one_block(self):
+        # the one-draw version peaked at 16.9 MB, two arrays of m * k = 10^6
+        assert traced_peak(verify_minibatch_scaling, m=10 ** 4) <= 3 * 10 ** 6
 
 
 class TestSecantAbsorption:
@@ -187,6 +258,15 @@ class TestSecantAbsorption:
         assert rng.calls == [2, None, 2, 2]
         assert np.all(t2 != t1) and xs.shape == (6, 3)
 
+    @pytest.mark.parametrize("sizes,message", [
+        (dict(n_trials=0), "n_trials must be >= 1, got 0"),
+        (dict(long_run_trials=0), "long_run_trials must be >= 1, got 0"),
+    ])
+    def test_rejects_no_trials(self, sizes, message):
+        # no trials give no frequency and no median to judge
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_secant_absorption(**sizes)
+
     def test_same_sign_frequency_is_half(self):
         rng = np.random.default_rng(5)
         n = 10 ** 4
@@ -208,6 +288,16 @@ class TestMinibatchScaling:
     def test_full_ladder(self):
         reports = verify_minibatch_scaling(m=3000, seed=7)
         assert [r.passed for r in reports] == [True, True, True]
+
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_rejects_fewer_than_two_minibatches(self, m):
+        # the std across minibatches needs two of them
+        with pytest.raises(ValueError, match=f"^m must be >= 2, got {m}$"):
+            verify_minibatch_scaling(m=m)
+
+    def test_rejects_empty_minibatches(self):
+        with pytest.raises(ValueError, match="^each k must be >= 1, got 0$"):
+            verify_minibatch_scaling(ks=(1, 0), m=10)
 
 
 class TestHybridAdvantage:
