@@ -400,6 +400,8 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
         in_secant = switch is None or not switch.fires(theta, None)
         if every_iterate:
             yield 0, theta, 0, None, None, None, None, 0.0, 0.0, best, None, in_secant, False
+    if n_iterations == 0:  # a zero-step run draws nothing, not even at theta0
+        return
     # a secant phase first spends one sample on the gradient at theta0
     next_samples = minibatches(problem, rng, k, n_iterations + int(in_secant),
                                train_size).__next__

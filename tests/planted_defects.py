@@ -50,6 +50,8 @@ DEFECTS = (
     ("src/sgdlab/verification.py", "for start in range(0, n, BLOCK_COORDINATES):",
      "for start in range(0, n - n % BLOCK_COORDINATES, BLOCK_COORDINATES):",
      "CV claim drops its last short block"),
+    ("src/sgdlab/plots.py", "return HEIGHT - MARGIN_B - (y - y0) / (y1 - y0) * y_span",
+     "return MARGIN_T + (y - y0) / (y1 - y0) * y_span", "figure y axis flipped"),
 )
 
 # tier-1 without the golden hashes, stopping at the first failure; the

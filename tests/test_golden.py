@@ -1,8 +1,9 @@
 """Golden outputs: the SHA-256 of the trace each checked-in config writes,
 of a noisy and a noiseless least-squares trace, of cv-switch hybrid traces,
 of a small grid's summary.csv, of the `sgdlab verify --quick` and full
-`sgdlab verify` reports, of the per-seed samples-to-unit-ball counts and of
-run summaries, and the default-size secant-absorption claims.
+`sgdlab verify` reports, of the per-seed samples-to-unit-ball counts, of
+run summaries and of the SVG figures, and the default-size secant-absorption
+claims.
 
 A change that alters any output byte (draw order, evaluation order, float
 formatting, CV bookkeeping) fails here. Re-pin only with a stated reason.
@@ -15,8 +16,9 @@ from pathlib import Path
 import pytest
 
 from sgdlab.cli import main as cli_main
-from sgdlab.harness import (ExperimentConfig, load_config, run_experiment, run_grid,
-                            write_trace)
+from sgdlab.harness import (ExperimentConfig, TraceRecord, load_config, run_experiment,
+                            run_grid, write_trace)
+from sgdlab.plots import emit_plots
 from sgdlab.verification import (DEFAULT_SEED, unit_ball_counts,
                                  verify_secant_absorption)
 
@@ -167,6 +169,43 @@ SECANT_ABSORPTION_FULL = {
     1: [(0.5035, 10000, True), (1.0, 1000, True)],
 }
 
+# The figures emit_plots writes, as the SHA-256 of each SVG, for two input
+# sets whose values depend on neither numpy's SIMD dispatch nor BLAS:
+# "rademacher" holds the traces of rademacher_rm and
+# rademacher_momentum_rolloff and two hand-built traces that carry accuracy;
+# "one_epoch" holds rademacher_hybrid's trace alone, whose records all sit in
+# epoch 0, so its equal x limits are widened. Recorded from the class-based
+# SVG canvas, before its drawing was folded into one function.
+FIGURE_SHA256 = {
+    ("rademacher", "risk.svg"): "b92ee58761a0e27e59ad05eef3767895f85d293657c86bf7dcb8097748d6c7e4",
+    ("rademacher", "accuracy.svg"): "1dfc23c2357f322a70e9ade0cf47e4274bada4d8479060ab3560ecc32d85b5d5",
+    ("rademacher", "cv_scatter.svg"): "9a6953c217a899cffb1f80e51143d7f74725066d499b58414eaa394d2eef4624",
+    ("one_epoch", "risk.svg"): "851906c95a88aa9bb18e5778e71cfe1a845146129ac0f3a03bbb8ebf3d7395cd",
+    ("one_epoch", "cv_scatter.svg"): "fce7c2430c65948c373fd3967945d7984ece6cac79a1dc210455df7d905a0c2b",
+}
+# (epoch, est_risk, cv_raw, accuracy) rows of the hand-built traces
+HAND_BUILT_TRACES = {
+    "hand_a": [(0, 2.0, None, 0.25), (1, 1.5, 0.3, 0.5), (2, 1.0, 0.2, 0.75)],
+    "hand_b": [(0, 3.0, 0.9, 0.125), (3, 0.5, None, None), (4, -0.25, 1.7, 0.875)],
+}
+
+
+def figure_inputs(name, directory):
+    """The trace files of the figure input set `name`, written to `directory`."""
+    configs = {"rademacher": ["rademacher_rm", "rademacher_momentum_rolloff"],
+               "one_epoch": ["rademacher_hybrid"]}[name]
+    paths = []
+    for config in configs:
+        paths.append(directory / f"{config}.csv")
+        write_trace(run_experiment(load_config(CONFIGS / f"{config}.yaml"))[0], paths[-1])
+    if name == "rademacher":
+        for label, rows in HAND_BUILT_TRACES.items():
+            paths.append(directory / f"{label}.csv")
+            write_trace([TraceRecord(epoch, 10 * epoch, None, risk, cv, cv, 0.1, 0.0,
+                                     accuracy, 1.0) for epoch, risk, cv, accuracy in rows],
+                        paths[-1])
+    return paths
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -242,6 +281,13 @@ def test_verify_full_report_hash(tmp_path, capsys):
     assert cli_main(["verify", "--out", str(report)]) == 2
     assert "13/14 claims passed" in capsys.readouterr().out
     assert sha256(report) == VERIFY_FULL_SHA256
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in FIGURE_SHA256}))
+def test_figure_hashes(name, tmp_path, capsys):
+    written = emit_plots(figure_inputs(name, tmp_path), tmp_path / "figures")
+    assert {(name, p.name): sha256(p) for p in written} == {
+        key: digest for key, digest in FIGURE_SHA256.items() if key[0] == name}
 
 
 @pytest.mark.parametrize("seed", sorted(SECANT_ABSORPTION_FULL))

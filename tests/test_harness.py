@@ -146,6 +146,9 @@ class TestConfigValidation:
         (dict(problem="logistic", dim=2, noise_std=-1), r"^noise_std must be >= 0, got -1\.0$"),
         # the risk gap is never negative, so a negative threshold is never met
         (dict(risk_threshold=-1.0), r"^risk_threshold must be >= 0, got -1\.0$"),
+        # a constant beta and a roll-off policy contradict each other
+        (dict(optimizer="momentum", beta=0.5, beta_policy="cv_linear"),
+         "give either 'beta' or 'beta_policy', not both"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,
@@ -185,6 +188,17 @@ class TestConfigValidation:
                 problem="least_squares", dim=4, condition_number=10.0,
                 theta0=[1.0, 2.0], optimizer="sgd", alpha=0.01,
                 epochs=1, epoch_size=50, seed=0))
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "^empty config file: "),
+        ("# a comment only\n", "^empty config file: "),
+        ("- problem: rademacher\n- theta0: 2.0\n", "^config must be a mapping, got list$"),
+    ])
+    def test_empty_or_non_mapping_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=message):
+            load_config(path)
 
     def test_repeated_key_rejected(self, tmp_path):
         # PyYAML keeps the last of repeated keys; YAML forbids repeats
@@ -455,12 +469,33 @@ class TestDeterminismAndRoundTrip:
     @pytest.mark.parametrize("row,message", [
         ("0,1,abc,1.0,,,0.1,0,,2.0", "could not convert string to float: 'abc'"),
         ("0.5,1,1.0,1.0,,,0.1,0,,2.0", "invalid literal for int"),
+        ("0,1,1.0,1.0,,,0.1,0,2.0", "expected 10 fields, got 9"),
+        ("0,1,1.0,1.0,,,0.1,0,,2.0,", "expected 10 fields, got 11"),
     ])
     def test_malformed_field_names_its_line(self, tmp_path, row, message):
         path = tmp_path / "bad.csv"
         path.write_text(f"{TRACE_HEADER}\n0,1,1.0,1.0,,,0.1,0,,2.0\n{row}\n")
         with pytest.raises(TraceFormatError, match=f"bad.csv:3: {message}"):
             read_trace(path)
+
+    def test_unreadable_trace_files_are_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("")
+        with pytest.raises(TraceFormatError, match="bad.csv: empty trace file$"):
+            read_trace(path)
+        # every column present, in another order
+        columns = TRACE_HEADER.split(",")
+        path.write_text(",".join(columns[1:] + columns[:1]) + "\n")
+        with pytest.raises(TraceFormatError, match="bad.csv: unexpected header 'iteration,"):
+            read_trace(path)
+        with pytest.raises(OSError, match=f"^cannot read trace {re.escape(str(tmp_path))}: "):
+            read_trace(tmp_path)
+
+    def test_trace_into_missing_directory_is_an_os_error(self, tmp_path):
+        path = tmp_path / "absent" / "t.csv"
+        with pytest.raises(OSError, match=f"^cannot write trace {re.escape(str(path))}: "):
+            write_trace([], path)
+        assert not (tmp_path / "absent").exists()
 
     def test_non_utf8_trace_is_a_format_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -902,6 +937,14 @@ class TestGrid:
             run_grid(self._base(), momenta, rates, seeds, tmp_path / "g")
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("momenta,rates,seeds", [
+        ([], [1e-3], [0]), ([0.5], [], [0]), ([0.5], [1e-3], []),
+    ])
+    def test_empty_axis_is_rejected(self, tmp_path, momenta, rates, seeds):
+        with pytest.raises(ConfigurationError, match="grid axes and seeds must be non-empty"):
+            run_grid(self._base(), momenta, rates, seeds, tmp_path / "g")
+        assert not (tmp_path / "g").exists()
+
     def test_summary_medians_invariant_under_seed_permutation(self, tmp_path):
         cells_a = run_grid(self._base(), [0.5], [0.001], [1, 2, 3], tmp_path / "a")
         cells_b = run_grid(self._base(), [0.5], [0.001], [3, 1, 2], tmp_path / "b")
@@ -915,6 +958,27 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "trace:" in out and "diverged=False" in out
+
+    def test_run_prints_accuracy_and_threshold_iteration(self, tmp_path, capsys):
+        cfg = tmp_path / "logistic.yaml"
+        cfg.write_text("problem: logistic\ndim: 2\nn_classes: 3\nproblem_seed: 1\n"
+                       "theta0: 0.0\noptimizer: sgd\nk: 10\nalpha: 0.1\nepochs: 2\n"
+                       "train_size: 100\neval_every: 5\nrisk_threshold: 2.0\nseed: 0\n")
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+        _, summary = run_experiment(load_config(cfg))
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:] == [f"final_accuracy={summary.final_accuracy:.4f}",
+                             f"iterations_to_risk_threshold={summary.iters_to_threshold}"]
+
+    def test_plot_good_trace_exits_0(self, tmp_path, capsys):
+        assert cli_main(["run", "configs/rademacher_rm.yaml", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        figs = tmp_path / "figs"
+        assert cli_main(["plot", str(tmp_path / "rademacher_rm.trace.csv"),
+                         "--out", str(figs)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "accuracy.svg skipped: no accuracy values in any trace",
+            f"wrote {figs / 'risk.svg'}", f"wrote {figs / 'cv_scatter.svg'}"]
 
     def test_run_bad_config_exits_1(self, tmp_path):
         bad = tmp_path / "bad.yaml"

@@ -153,6 +153,33 @@ class TestHybrid:
             run_hybrid(LeastSquaresProblem(3, 10.0, 0.0, seed=0), np.full(3, 5.0),
                        SwitchPolicy(kind="abs_theta", threshold=1e9), AlphaSchedule(),
                        np.random.default_rng(0), 10)
+        # a scalar problem takes a one-entry start only
+        with pytest.raises(ConfigurationError, match=r"has shape \(2,\), expected \(1,\)"):
+            run_hybrid(RademacherProblem(), [5.0, 1.0], SwitchPolicy(), AlphaSchedule(),
+                       np.random.default_rng(0), 10)
+
+    def test_negative_step_count_rejected(self):
+        with pytest.raises(ConfigurationError, match="max_iterations must be >= 0, got -1"):
+            run_hybrid(RademacherProblem(), 5.0, SwitchPolicy(), AlphaSchedule(),
+                       np.random.default_rng(0), -1)
+
+    def test_switch_threshold_must_be_finite(self):
+        with pytest.raises(ConfigurationError, match="switch threshold must be finite, got nan"):
+            SwitchPolicy("abs_theta", float("nan"))
+
+    @pytest.mark.parametrize("theta0,threshold", [
+        (100.0, 1.0),  # a secant start
+        (0.0, -1.0),  # a secant start at 0, whose free second point is 1.0
+        (0.5, 1.0),  # the switch fires on theta0: pure SGD
+    ])
+    def test_zero_step_run_draws_nothing(self, theta0, threshold):
+        # theta0 and the free second point are logged at no cost; the
+        # gradient at theta0 is spent only by a first secant step
+        rng = np.random.default_rng(5)
+        run = run_hybrid(RademacherProblem(), theta0, SwitchPolicy("abs_theta", threshold),
+                         AlphaSchedule("inverse_t", 0.5), rng, 0)
+        assert run.samples.tolist() == [0] * len(run.iterates) and not run.diverged
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
     def test_never_firing_switch_is_pure_secant(self):
         problem = RademacherProblem()

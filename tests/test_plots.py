@@ -6,8 +6,9 @@ from xml.etree import ElementTree
 import pytest
 
 from sgdlab.errors import TraceFormatError
-from sgdlab.harness import ExperimentConfig, read_trace, run_experiment, write_trace
-from sgdlab.plots import emit_plots
+from sgdlab.harness import (ExperimentConfig, TraceRecord, read_trace, run_experiment,
+                            write_trace)
+from sgdlab.plots import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, emit_plots
 
 
 @pytest.fixture()
@@ -131,3 +132,31 @@ def test_infinite_risk_is_rejected_before_any_figure(rademacher_trace, tmp_path)
                                                "non-finite value 'inf'"):
         emit_plots([path], tmp_path / "figs")
     assert not (tmp_path / "figs").exists()
+
+
+def test_falling_risk_is_drawn_downward_inside_the_plot_area(tmp_path):
+    # SVG y grows downward, so a falling risk is a polyline whose y rises; the
+    # epoch range spans the plot area from its left edge to its right edge
+    risks = {"fast": [4.0, 2.0, 1.5, 1.25, 1.0], "slow": [4.5, 4.0, 3.5, 3.0, 2.5]}
+    paths = []
+    for label, values in risks.items():
+        paths.append(tmp_path / f"{label}.csv")
+        write_trace([TraceRecord(epoch, 10 * epoch, risk, risk, None, None, 0.1, 0.0,
+                                 None, 1.0) for epoch, risk in enumerate(values)],
+                    paths[-1])
+    emit_plots(paths, tmp_path / "figs")
+    root = ElementTree.parse(tmp_path / "figs" / "risk.svg").getroot()
+    svg = "{http://www.w3.org/2000/svg}"
+    polylines = list(root.iter(f"{svg}polyline"))
+    assert len(polylines) == len(risks)
+    for polyline in polylines:
+        points = [tuple(map(float, p.split(","))) for p in polyline.get("points").split()]
+        xs, ys = zip(*points)
+        assert list(ys) == sorted(ys) and len(set(ys)) == len(ys)
+        assert all(MARGIN_T <= y <= HEIGHT - MARGIN_B for y in ys)
+        assert xs[0] == MARGIN_L and xs[-1] == WIDTH - MARGIN_R
+    # the highest risk sits on the top edge, the lowest on the bottom edge
+    all_ys = [float(p.split(",")[1]) for pl in polylines for p in pl.get("points").split()]
+    assert min(all_ys) == MARGIN_T and max(all_ys) == HEIGHT - MARGIN_B
+    legend = [line for line in root.iter(f"{svg}line") if line.get("stroke-width") == "2"]
+    assert len(legend) == len(risks)
