@@ -18,11 +18,15 @@ from .errors import ConfigurationError, InsufficientDataError
 POLICY_KINDS = ("constant", "cv_threshold", "cv_linear")
 
 
-def estimate_cv(costs) -> Optional[float]:
+def estimate_cv(costs, *, overwrite_costs: bool = False) -> Optional[float]:
     """CV of k >= 2 per-sample costs, or None when it is not a valid CV: a
     mean <= 0 (costs are nonnegative everywhere in this package, so that is a
     defensive path only) or a ratio that is not finite. The std uses the
-    unbiased (k-1) denominator."""
+    unbiased (k-1) denominator.
+
+    With `overwrite_costs`, the deviations are formed in the costs' own memory
+    where they are a float array, so no copy of them is made and the caller's
+    costs are left overwritten. The estimate has the same bits either way."""
     c = np.asarray(costs, dtype=float)
     c = c if c.ndim == 1 else c.reshape(-1)  # a reshape costs ~0.3 us, even of 1-D
     n = c.shape[0]
@@ -35,7 +39,7 @@ def estimate_cv(costs) -> Optional[float]:
     mean = float(np.add.reduce(c)) / n
     if not mean > 0.0:
         return None
-    d = c - mean
+    d = np.subtract(c, mean, out=c) if overwrite_costs else c - mean
     cv = math.sqrt(float(np.add.reduce(np.multiply(d, d, out=d))) / (n - 1)) / mean
     return cv if math.isfinite(cv) else None
 

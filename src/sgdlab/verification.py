@@ -81,18 +81,24 @@ def verify_cv_formula(thetas: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 10.0),
     by the sample mean and SE(cv_hat) ~ cv^2 / sqrt(n).
 
     The costs are drawn in blocks of BLOCK_COORDINATES into one buffer that
-    every theta reuses, with the samples and bits of one n-sized draw.
+    every theta refills, with the samples and bits of one n-sized draw, and
+    the estimate forms its deviations in that buffer. A theta without an
+    estimate (costs or their spread overflow, or it is NaN) is a ValueError.
     """
     rng = np.random.default_rng(seed)
     problem = RademacherProblem()
     costs = np.empty(n)
     reports = []
     for theta in thetas:
-        for start in range(0, n, BLOCK_COORDINATES):
-            part = costs[start:start + BLOCK_COORDINATES]
-            np.subtract(theta, problem.sample(rng, part.shape[0]), out=part)
-            np.multiply(part, part, out=part)
-        statistic = estimate_cv(costs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, BLOCK_COORDINATES):
+                part = costs[start:start + BLOCK_COORDINATES]
+                np.subtract(theta, problem.sample(rng, part.shape[0]), out=part)
+                np.multiply(part, part, out=part)
+            statistic = estimate_cv(costs, overwrite_costs=True)
+        if statistic is None:
+            raise ValueError(f"no CV estimate at theta={theta:g}: its costs or their spread "
+                             "are not finite")
         expected = problem.true_cv(theta)
         tolerance = float(4.0 * expected ** 2 / np.sqrt(n))
         reports.append(OracleReport(

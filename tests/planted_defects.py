@@ -52,6 +52,9 @@ DEFECTS = (
      "CV claim drops its last short block"),
     ("src/sgdlab/plots.py", "return HEIGHT - MARGIN_B - (y - y0) / (y1 - y0) * y_span",
      "return MARGIN_T + (y - y0) / (y1 - y0) * y_span", "figure y axis flipped"),
+    ("src/sgdlab/diagnostics.py",
+     "d = np.subtract(c, mean, out=c) if overwrite_costs else c - mean",
+     "d = np.subtract(c, mean, out=c)", "CV estimate overwrites the caller's costs"),
 )
 
 # tier-1 without the golden hashes, stopping at the first failure; the

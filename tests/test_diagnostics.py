@@ -1,5 +1,6 @@
 """CV estimator and roll-off policy checks."""
 
+import math
 from collections import deque
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from sgdlab.diagnostics import POLICY_KINDS, RolloffPolicy, estimate_cv, smooth_cv
 from sgdlab.errors import ConfigurationError, InsufficientDataError
+from sgdlab.harness import ExperimentConfig, run_experiment
 from sgdlab.problems import RademacherProblem
 
 
@@ -39,13 +41,26 @@ class TestEstimateCv:
                                        st.floats(0.0, 1e6), st.floats(-1e3, 1e3))))
     def test_bit_identical_to_numpy_mean_and_std(self, c):
         # lengths 2-300 cross numpy's 8-wide unrolled and 128-element pairwise
-        # summation blocks; few distinct values give zeros and ties
-        cv = estimate_cv(c)
+        # summation blocks; few distinct values give zeros and ties; the
+        # deviations formed in a copy of the costs give the same bits
         mean, std = float(np.mean(c)), float(np.std(c, ddof=1))
-        if mean > 0.0:
-            assert cv.hex() == (std / mean).hex()
-        else:
-            assert cv is None
+        for cv in (estimate_cv(c), estimate_cv(c.copy(), overwrite_costs=True)):
+            if mean > 0.0:
+                assert cv.hex() == (std / mean).hex()
+            else:
+                assert cv is None
+
+    def test_leaves_the_costs_unchanged_by_default(self):
+        rng = np.random.default_rng(30)
+        costs = rng.uniform(0.0, 4.0, size=257)
+        # a ring of twice the buffer size, read as a slice view, as the k = 1
+        # run loop reads its trailing costs
+        ring = np.concatenate([costs, costs])
+        for array in (costs, ring[100:100 + costs.shape[0]]):
+            before = array.tobytes()
+            assert estimate_cv(array) is not None
+            assert array.tobytes() == before
+        assert ring.tobytes() == np.concatenate([costs, costs]).tobytes()
 
     @pytest.mark.parametrize("theta,expected", [(1.0, 1.0), (10.0, 20.0 / 101.0)])
     def test_matches_closed_form_on_large_batch(self, theta, expected):
@@ -79,6 +94,32 @@ class TestEstimateCv:
         for k in (10, 100):
             ratio = stds[k] / stds[1]
             assert abs(ratio - 1.0 / np.sqrt(k)) <= 0.05 / np.sqrt(k)
+
+
+class TestRolloffSignalLaw:
+    """A run that holds theta still rolls momentum off on a share of its
+    records that the exact law of one minibatch's CV estimate predicts."""
+
+    @pytest.mark.parametrize("theta,k", [(2.0, 10), (1.0, 100)])
+    def test_share_rolled_off_matches_the_binomial_law(self, theta, k):
+        n = 2000
+        config = ExperimentConfig.from_dict(dict(
+            problem="rademacher", theta0=theta, optimizer="momentum",
+            beta_policy="cv_threshold", alpha=1e-300, k=k, cv_window=1,
+            eval_every=1, epochs=1, epoch_size=n * k, seed=7))
+        records, summary = run_experiment(config)
+        # a step of alpha = 1e-300 is below half an ulp of theta: it never moves
+        assert summary.final_theta.tolist() == [theta]
+        assert len(records) == n
+        _, policy, _ = config.run_parts()
+        # with s samples at +1 a minibatch holds s costs (theta - 1)^2 and
+        # k - s costs (theta + 1)^2, s ~ Binomial(k, 1/2); at theta = 1, s = k
+        # gives zero costs, whose mean 0 gives no estimate and so beta 0
+        p = sum(math.comb(k, s) / 2 ** k for s in range(k + 1)
+                if policy.beta(estimate_cv([(theta - 1.0) ** 2] * s
+                                           + [(theta + 1.0) ** 2] * (k - s))) == 0.0)
+        share = sum(r.beta == 0.0 for r in records) / n
+        assert abs(share - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
 
 
 class TestRolloffPolicy:

@@ -42,6 +42,13 @@ def run_to_file(config, path):
     return records, summary
 
 
+def case(number, overrides, message):
+    """A `test_bad_configs` case. Its id is its number and message, written
+    here, so a case added anywhere in the list renames no other; the numbers
+    are the list positions the ids were first taken from."""
+    return pytest.param(overrides, message, id=f"overrides{number}-{message}")
+
+
 class TestConfigValidation:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown config keys"):
@@ -55,100 +62,104 @@ class TestConfigValidation:
                                                 optimizer="sgd", alpha=0.1) | extra)
 
     @pytest.mark.parametrize("overrides,message", [
-        (dict(problem="nope"), "unknown problem"),
-        (dict(optimizer="adam"), "unknown optimizer"),
-        (dict(alpha=None), "positive alpha"),
-        (dict(theta0=None), "theta0"),
-        (dict(theta0_scale=5.0), "exactly one of theta0"),
-        (dict(optimizer="momentum"), "beta"),
-        (dict(beta=0.5), "sgd takes no momentum"),
-        (dict(k=0), "k must be >= 1"),
-        (dict(optimizer="secant", k=2, alpha=None), "k must be 1"),
-        (dict(optimizer="hybrid", train_size=100), "train_size is not supported"),
-        (dict(theta0="abc"), "theta0 must be a number"),
-        (dict(theta0=[1.0, float("nan")]), "theta0 has non-finite"),
-        (dict(cv_low=float("nan")), "cv_low must be finite"),
-        (dict(optimizer="momentum", beta_policy="cv_linear", cv_high=float("nan")),
-         "cv_high must be finite"),
-        (dict(optimizer="hybrid", alpha_schedule="inverse_t",
-              switch_threshold=float("nan")), "switch_threshold must be finite"),
-        (dict(problem="least_squares", dim=2, condition_number=float("nan")),
-         "condition_number must be finite"),
+        case(0, dict(problem="nope"), "unknown problem"),
+        case(1, dict(optimizer="adam"), "unknown optimizer"),
+        case(2, dict(alpha=None), "positive alpha"),
+        case(3, dict(theta0=None), "theta0"),
+        case(4, dict(theta0_scale=5.0), "exactly one of theta0"),
+        case(5, dict(optimizer="momentum"), "beta"),
+        case(6, dict(beta=0.5), "sgd takes no momentum"),
+        case(7, dict(k=0), "k must be >= 1"),
+        case(8, dict(optimizer="secant", k=2, alpha=None), "k must be 1"),
+        case(9, dict(optimizer="hybrid", train_size=100), "train_size is not supported"),
+        case(10, dict(theta0="abc"), "theta0 must be a number"),
+        case(11, dict(theta0=[1.0, float("nan")]), "theta0 has non-finite"),
+        case(12, dict(cv_low=float("nan")), "cv_low must be finite"),
+        case(13, dict(optimizer="momentum", beta_policy="cv_linear", cv_high=float("nan")),
+                 "cv_high must be finite"),
+        case(14, dict(optimizer="hybrid", alpha_schedule="inverse_t",
+                      switch_threshold=float("nan")), "switch_threshold must be finite"),
+        case(15, dict(problem="least_squares", dim=2, condition_number=float("nan")),
+                 "condition_number must be finite"),
         # epoch_size 100 at k = 1: 100 iterations
-        (dict(eval_every=101), "exceeds the run's 100 iterations"),
+        case(16, dict(eval_every=101), "exceeds the run's 100 iterations"),
         # finite mode: 2 epochs of ceil(10 / 3) = 4 minibatches
-        (dict(problem="least_squares", dim=2, train_size=10, k=3, epochs=2,
-              eval_every=9), "exceeds the run's 8 iterations"),
+        case(17, dict(problem="least_squares", dim=2, train_size=10, k=3, epochs=2,
+                      eval_every=9), "exceeds the run's 8 iterations"),
         # an empty held-out set made NaN accuracy; a negative one a ValueError
-        (dict(problem="logistic", dim=2, test_per_class=0), "test_per_class must be >= 1"),
-        (dict(problem="logistic", dim=2, test_per_class=-3), "test_per_class must be >= 1"),
+        case(18, dict(problem="logistic", dim=2, test_per_class=0),
+                 "test_per_class must be >= 1"),
+        case(19, dict(problem="logistic", dim=2, test_per_class=-3),
+                 "test_per_class must be >= 1"),
         # logistic parameters number n_classes * (dim + 1) = 8, not dim
-        (dict(problem="logistic", dim=1, optimizer="secant", alpha=None),
-         "scalar problem, got dim 8"),
-        (dict(problem="least_squares", dim=4, theta0=[1.0, 2.0]),
-         "theta0 has 2 entries, problem needs 4"),
-        (dict(optimizer="hybrid", alpha_schedule="inverse_t", beta_policy="cv_linear"),
-         "hybrid takes no momentum"),
+        case(20, dict(problem="logistic", dim=1, optimizer="secant", alpha=None),
+                 "scalar problem, got dim 8"),
+        case(21, dict(problem="least_squares", dim=4, theta0=[1.0, 2.0]),
+                 "theta0 has 2 entries, problem needs 4"),
+        case(22, dict(optimizer="hybrid", alpha_schedule="inverse_t", beta_policy="cv_linear"),
+                 "hybrid takes no momentum"),
         # integer keys neither truncate nor read booleans as numbers
-        (dict(epochs=2.7), "config key 'epochs': expected an integer, got 2.7"),
-        (dict(seed=3.9), "config key 'seed': expected an integer, got 3.9"),
-        (dict(k=True), "config key 'k': expected an integer, got True"),
-        (dict(epoch_size=float("inf")), "config key 'epoch_size': expected an integer"),
-        (dict(alpha=True), "config key 'alpha': expected a number, got True"),
-        (dict(optimizer="momentum", beta=False), "config key 'beta': expected a number"),
+        case(23, dict(epochs=2.7), "config key 'epochs': expected an integer, got 2.7"),
+        case(24, dict(seed=3.9), "config key 'seed': expected an integer, got 3.9"),
+        case(25, dict(k=True), "config key 'k': expected an integer, got True"),
+        case(26, dict(epoch_size=float("inf")), "config key 'epoch_size': expected an integer"),
+        case(27, dict(alpha=True), "config key 'alpha': expected a number, got True"),
+        case(28, dict(optimizer="momentum", beta=False), "config key 'beta': expected a number"),
         # falsy momentum settings are still momentum settings
-        (dict(beta=0.0, beta_policy=""), "sgd takes no momentum"),
-        (dict(optimizer="secant", alpha=None, beta=0.0, beta_policy=""),
-         "secant takes no momentum"),
-        (dict(optimizer="hybrid", alpha_schedule="inverse_t", beta=0.0, beta_policy=""),
-         "hybrid takes no momentum"),
+        case(29, dict(beta=0.0, beta_policy=""), "sgd takes no momentum"),
+        case(30, dict(optimizer="secant", alpha=None, beta=0.0, beta_policy=""),
+                 "secant takes no momentum"),
+        case(31, dict(optimizer="hybrid", alpha_schedule="inverse_t", beta=0.0, beta_policy=""),
+                 "hybrid takes no momentum"),
         # float() would read a boolean theta0 as 1.0
-        (dict(theta0=True), "theta0 must be a number"),
-        (dict(theta0=[True]), "theta0 must be a number"),
-        (dict(theta0=[1.0, True]), "theta0 must be a number"),
+        case(32, dict(theta0=True), "theta0 must be a number"),
+        case(33, dict(theta0=[True]), "theta0 must be a number"),
+        case(34, dict(theta0=[1.0, True]), "theta0 must be a number"),
         # a nested list is not flattened into a parameter vector
-        (dict(theta0=[[1.0]]), "theta0 must be a number"),
-        (dict(problem="least_squares", dim=2, theta0=[[1.0, 2.0]]),
-         "theta0 must be a number"),
+        case(35, dict(theta0=[[1.0]]), "theta0 must be a number"),
+        case(36, dict(problem="least_squares", dim=2, theta0=[[1.0, 2.0]]),
+                 "theta0 must be a number"),
         # only the Optional keys take None
-        (dict(k=None), "config key 'k'"),
-        (dict(beta_max=None), "config key 'beta_max'"),
+        case(37, dict(k=None), "config key 'k'"),
+        case(38, dict(beta_max=None), "config key 'beta_max'"),
         # numpy's generators take no negative seed
-        (dict(seed=-1), "^seed must be >= 0, got -1$"),
-        (dict(problem="least_squares", dim=2, problem_seed=-3),
-         "^problem_seed must be >= 0, got -3$"),
+        case(39, dict(seed=-1), "^seed must be >= 0, got -1$"),
+        case(40, dict(problem="least_squares", dim=2, problem_seed=-3),
+                 "^problem_seed must be >= 0, got -3$"),
         # too large for numpy to build (every size here is >= 2^47 bytes, so
         # none is ever allocated): a MemoryError, or numpy's size ValueError
-        (dict(problem="least_squares", dim=10 ** 16),
-         "^least_squares problem is too large to build: Unable to allocate"),
-        (dict(problem="logistic", test_per_class=10 ** 16),
-         "^logistic problem is too large to build: Unable to allocate"),
-        (dict(problem="logistic", n_classes=10 ** 20),
-         "^logistic problem is too large to build: Maximum allowed dimension"),
+        case(41, dict(problem="least_squares", dim=10 ** 16),
+                 "^least_squares problem is too large to build: Unable to allocate"),
+        case(42, dict(problem="logistic", test_per_class=10 ** 16),
+                 "^logistic problem is too large to build: Unable to allocate"),
+        case(43, dict(problem="logistic", n_classes=10 ** 20),
+                 "^logistic problem is too large to build: Maximum allowed dimension"),
         # a secant run has no learning rate to apply the alpha to
-        (dict(optimizer="secant", alpha=0.5, alpha_schedule="inverse_t"),
-         "secant takes no learning rate"),
+        case(44, dict(optimizer="secant", alpha=0.5, alpha_schedule="inverse_t"),
+                 "secant takes no learning rate"),
         # schedule, roll-off and switch keys are checked where the optimizer
         # ignores them too
-        (dict(switch_kind="bogus"), "unknown switch policy 'bogus'"),
-        (dict(optimizer="secant", alpha=None, alpha_schedule="bogus"),
-         "unknown learning-rate schedule 'bogus'"),
-        (dict(beta_max=5.0), r"beta_max must be in \[0, 1\), got 5.0"),
-        (dict(cv_low=3.0, cv_high=1.0), "need 0 <= cv_low < cv_high"),
+        case(45, dict(switch_kind="bogus"), "unknown switch policy 'bogus'"),
+        case(46, dict(optimizer="secant", alpha=None, alpha_schedule="bogus"),
+                 "unknown learning-rate schedule 'bogus'"),
+        case(47, dict(beta_max=5.0), r"beta_max must be in \[0, 1\), got 5.0"),
+        case(48, dict(cv_low=3.0, cv_high=1.0), "need 0 <= cv_low < cv_high"),
         # every problem key is checked, whatever the problem
-        (dict(dim=0), "^dim must be >= 1, got 0$"),
-        (dict(condition_number=-5), r"^condition_number must be >= 1, got -5\.0$"),
-        (dict(noise_std=-1), r"^noise_std must be >= 0, got -1\.0$"),
-        (dict(n_classes=1), "^n_classes must be >= 2, got 1$"),
-        (dict(separation=-1), r"^separation must be >= 0, got -1\.0$"),
-        (dict(test_per_class=0), "^test_per_class must be >= 1, got 0$"),
-        (dict(problem="least_squares", dim=2, n_classes=1), "^n_classes must be >= 2, got 1$"),
-        (dict(problem="logistic", dim=2, noise_std=-1), r"^noise_std must be >= 0, got -1\.0$"),
+        case(49, dict(dim=0), "^dim must be >= 1, got 0$"),
+        case(50, dict(condition_number=-5), r"^condition_number must be >= 1, got -5\.0$"),
+        case(51, dict(noise_std=-1), r"^noise_std must be >= 0, got -1\.0$"),
+        case(52, dict(n_classes=1), "^n_classes must be >= 2, got 1$"),
+        case(53, dict(separation=-1), r"^separation must be >= 0, got -1\.0$"),
+        case(54, dict(test_per_class=0), "^test_per_class must be >= 1, got 0$"),
+        case(55, dict(problem="least_squares", dim=2, n_classes=1),
+                 "^n_classes must be >= 2, got 1$"),
+        case(56, dict(problem="logistic", dim=2, noise_std=-1),
+                 r"^noise_std must be >= 0, got -1\.0$"),
         # the risk gap is never negative, so a negative threshold is never met
-        (dict(risk_threshold=-1.0), r"^risk_threshold must be >= 0, got -1\.0$"),
+        case(57, dict(risk_threshold=-1.0), r"^risk_threshold must be >= 0, got -1\.0$"),
         # a constant beta and a roll-off policy contradict each other
-        (dict(optimizer="momentum", beta=0.5, beta_policy="cv_linear"),
-         "give either 'beta' or 'beta_policy', not both"),
+        case(58, dict(optimizer="momentum", beta=0.5, beta_policy="cv_linear"),
+                 "give either 'beta' or 'beta_policy', not both"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,
