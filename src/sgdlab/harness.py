@@ -23,7 +23,7 @@ from .diagnostics import RolloffPolicy, estimate_cv, smooth_cv
 from .errors import ConfigurationError, TraceFormatError
 from .optimizers import AlphaSchedule, SwitchPolicy, step_momentum, step_secant, step_sgd
 from .problems import (BOUNDS, LeastSquaresProblem, LogisticBlobsProblem, Problem,
-                       RademacherProblem, _as_theta, check_bounds, minibatches, too_large)
+                       RademacherProblem, check_bounds, minibatches, too_large)
 # The run loop calls Problem.evaluate; these stay bound here because
 # perfbench's tracer wraps them at this module.
 from .problems import draw_minibatch, evaluate_minibatch  # noqa: F401
@@ -87,7 +87,7 @@ class ExperimentConfig:
                     raise ValueError(f"expected {'an integer' if is_int else 'a number'}, "
                                      f"got {value!r}")
                 value = int(value) if is_int else float(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # 10**400 overflows float()
                 raise ConfigurationError(f"bad value for config key {f.name!r}: {exc}") from exc
             if not (is_int or math.isfinite(value)):
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
@@ -172,7 +172,7 @@ class ExperimentConfig:
             values = np.atleast_1d(np.asarray(self.theta0, dtype=float))
             if values.ndim != 1:
                 raise ValueError("a nested list is not a parameter vector")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(
                 f"theta0 must be a number or a list of numbers, got {self.theta0!r}") from exc
         if not np.all(np.isfinite(values)):
@@ -209,7 +209,8 @@ def load_config(path) -> ExperimentConfig:
             keys = [loader.construct_object(key) for key, _ in pairs
                     if key.tag != "tag:yaml.org,2002:merge"]
             raw = None if node is None else loader.construct_document(node)
-        except yaml.YAMLError as exc:
+        # PyYAML's int() and date constructors raise ValueError (4301+ digits, month 13)
+        except (yaml.YAMLError, ValueError) as exc:
             raise ConfigurationError(f"{path}: invalid YAML: {exc}") from exc
     for i, key in enumerate(keys):
         if key in keys[:i]:
@@ -350,7 +351,7 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
               secant: bool = False, switch: Optional[SwitchPolicy] = None,
               cv_every: Optional[int] = None, cv_window: int = 10, cv_buffer: int = 100,
               risk_threshold: Optional[float] = None, train_size: Optional[int] = None):
-    """The one run loop, behind `run_experiment` and `run_hybrid`.
+    """The one run loop, behind `run_experiment` and verification's unit-ball runs.
 
     With `secant`, secant steps until `switch` fires (never when it is None),
     then SGD on `schedule` with its index restarted at 1; heavy-ball momentum
@@ -368,11 +369,11 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
     and the first iteration whose gap to `problem.min_risk` is within
     `risk_threshold`. It yields (iteration, theta, samples consumed, costs,
     risk, cv_raw, cv_smoothed, alpha, beta, best risk, threshold iteration,
-    in_secant, diverged): with `cv_every`, only every `cv_every`-th iterate,
-    with a CV estimate, the last one and a diverged one; without, every
-    iterate, theta0 and the secant phase's free second point first, as
-    iteration 0. The policy and the cv switch compute the CV estimates they
-    need. `in_secant` is the next step's phase; a diverged iterate is last.
+    diverged): with `cv_every`, only every `cv_every`-th iterate, with a CV
+    estimate, the last one and a diverged one; without, every iterate, theta0
+    and the secant phase's free second point first, as iteration 0. The
+    policy and the cv switch compute the CV estimates they need. A secant
+    step yields alpha 0; a diverged iterate is last.
     """
     true_risk, min_risk = problem.true_risk, problem.min_risk or 0.0
     tracker = _CvTracker(k, cv_window, cv_buffer)
@@ -393,13 +394,13 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
     # before any sample is spent, so an immediate switch is a pure SGD run
     in_secant = secant and not (switch is not None and switch.fires(theta, None))
     if every_iterate:
-        yield 0, theta, 0, None, None, None, None, 0.0, 0.0, best, None, in_secant, False
+        yield 0, theta, 0, None, None, None, None, 0.0, 0.0, best, None, False
     if in_secant:
         start = theta
         theta = start / 2.0 if start != 0.0 else (1.0 if as_float else np.ones(1))
         in_secant = switch is None or not switch.fires(theta, None)
         if every_iterate:
-            yield 0, theta, 0, None, None, None, None, 0.0, 0.0, best, None, in_secant, False
+            yield 0, theta, 0, None, None, None, None, 0.0, 0.0, best, None, False
     if n_iterations == 0:  # a zero-step run draws nothing, not even at theta0
         return
     # a secant phase first spends one sample on the gradient at theta0
@@ -450,7 +451,7 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
             in_secant = not switch.fires(theta, cv_raw if cv_switch else None)
         if due or diverged or every_iterate or iteration == n_iterations:
             yield (iteration, theta, samples, costs, risk, cv_raw, cv_smoothed,
-                   alpha_i, beta_i, best, reach, in_secant, diverged)
+                   alpha_i, beta_i, best, reach, diverged)
             if diverged:
                 return
 
@@ -484,7 +485,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
         cv_window=config.cv_window, cv_buffer=config.cv_buffer,
         risk_threshold=config.risk_threshold, train_size=config.train_size)
     for (iteration, theta, samples_consumed, costs, risk, cv_raw, cv_smoothed,
-         alpha_i, beta_i, best_risk, iters_to_threshold, _, diverged) in run:
+         alpha_i, beta_i, best_risk, iters_to_threshold, diverged) in run:
         if diverged or iteration % eval_every:  # the last iterate is not always a record
             continue
         epoch = samples_consumed // epoch_denom
@@ -520,51 +521,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
         iters_to_threshold=iters_to_threshold,
     )
     return records, summary
-
-
-@dataclass(frozen=True)
-class HybridRun:
-    """Every iterate visited, the cumulative sample count when it became
-    current, and where (if anywhere) the SGD phase took over."""
-
-    iterates: np.ndarray
-    samples: np.ndarray
-    switch_index: Optional[int]
-    diverged: bool = False
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def run_hybrid(problem: Problem, theta0: float, switch_policy: SwitchPolicy,
-               sgd_schedule: AlphaSchedule, rng: np.random.Generator,
-               max_iterations: int, stop_radius: Optional[float] = None) -> HybridRun:
-    """Secant steps until the switch policy fires, then single-sample SGD: the
-    `hybrid` optimizer's run loop, returning every iterate.
-
-    Scalar problems only. The secant phase consumes one fresh sample per
-    iteration (plus one for the gradient at theta0); the SGD phase restarts
-    its schedule index at 1. The second secant start point is theta0 / 2
-    (or 1.0 when theta0 == 0), so the initial bracket is wide for poor starts;
-    a switch that fires on theta0 makes the run pure SGD. The cv switch
-    reads the CV of the trailing 100 costs, the `cv_buffer` default. A run
-    that takes all its steps leaves `rng` where one draw per sample would.
-    With `stop_radius` the run ends at its first iterate with |theta| <=
-    stop_radius, theta0 included, and draws as `minibatches` says.
-    """
-    if problem.dim != 1:
-        raise ConfigurationError("hybrid/secant runs need a scalar problem")
-    if max_iterations < 0:
-        raise ConfigurationError(f"max_iterations must be >= 0, got {max_iterations}")
-    log = []  # (iterate, samples consumed, in the secant phase after it)
-    for _, theta, n, *_, in_secant, diverged in _run_loop(
-            problem, _as_theta(theta0, problem.dim), rng, sgd_schedule, max_iterations,
-            secant=True, switch=switch_policy):
-        log.append((theta if isinstance(theta, float) else float(theta[0]), n, in_secant))
-        if stop_radius is not None and abs(log[-1][0]) <= stop_radius:
-            break
-    iterates, samples, phases = zip(*log)
-    return HybridRun(iterates=np.array(iterates), samples=np.array(samples),
-                     switch_index=next((i for i, s in enumerate(phases) if not s), None),
-                     diverged=diverged)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ import numpy as np
 
 from .diagnostics import estimate_cv
 from .errors import ConfigurationError
-from .harness import run_hybrid
+from .harness import _run_loop
 from .optimizers import AlphaSchedule, SwitchPolicy, step_secant
-from .problems import BLOCK_COORDINATES, RademacherProblem
+from .problems import BLOCK_COORDINATES, RademacherProblem, _as_theta
 
 DEFAULT_SEED = 20240817
 
@@ -160,9 +160,10 @@ def verify_secant_absorption(n_trials: int = 10 ** 4, seed: int = DEFAULT_SEED,
     the explicit closed form on every trial. Long-run: the median |theta|
     after `long_run_steps` iterations stays at or above 0.5.
     """
-    for name, trials in (("n_trials", n_trials), ("long_run_trials", long_run_trials)):
-        if trials < 1:
-            raise ValueError(f"{name} must be >= 1, got {trials}")
+    for name, size in (("n_trials", n_trials), ("long_run_trials", long_run_trials),
+                       ("long_run_steps", long_run_steps)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
     (t2, t1), xs, theta_new = secant_trials(rng, n_trials, 1)
     explicit = explicit_secant_update(t2, t1, xs[0], xs[1])
@@ -211,17 +212,31 @@ def verify_minibatch_scaling(theta: float = 2.0, ks: Sequence[int] = (1, 10, 100
     return reports
 
 
+# a diverging run overflows on its way out, and the guard ends it
+@np.errstate(over="ignore", invalid="ignore")
+def run_hybrid(theta0: float, rng: np.random.Generator, schedule: AlphaSchedule,
+               cap: int, switch: SwitchPolicy) -> Optional[int]:
+    """Samples a secant-then-SGD run of `cap` steps on the scalar cost spends
+    before its first iterate with |theta| <= 1 (theta0 and the free second
+    point at 0), or None; a diverged NaN or huge iterate fails the `<=`. Kept
+    apart under this name because perfbench times verify's unit-ball runs by
+    wrapping it (`optimizers.run_hybrid`), until its tracer wraps
+    `samples_to_unit_ball` instead."""
+    for _, theta, samples, *_ in _run_loop(RademacherProblem(), _as_theta(theta0, 1), rng,
+                                           schedule, cap, secant=True, switch=switch):
+        if abs(theta) <= 1.0:
+            return samples
+    return None
+
+
 def samples_to_unit_ball(theta0: float, rng: np.random.Generator, *, secant: bool,
                          coefficient: float = 0.5) -> Optional[int]:
     """Samples a c/i-rate run spends before |theta| <= 1; None when it runs
     past its cap or diverges first. With `secant` it is the secant-then-SGD
     hybrid; without, the switch fires on any finite theta0, so it is pure SGD."""
     threshold, cap = (1.0, SECANT_CAP) if secant else (np.finfo(float).max, UNIT_BALL_CAP)
-    run = run_hybrid(RademacherProblem(), theta0,
-                     SwitchPolicy(kind="abs_theta", threshold=threshold),
-                     AlphaSchedule(kind="inverse_t", value=coefficient), rng,
-                     cap, stop_radius=1.0)
-    return int(run.samples[-1]) if abs(run.iterates[-1]) <= 1.0 else None
+    return run_hybrid(theta0, rng, AlphaSchedule(kind="inverse_t", value=coefficient), cap,
+                      SwitchPolicy(kind="abs_theta", threshold=threshold))
 
 
 def unit_ball_counts(theta0: float, n_seeds: int, seed: int = DEFAULT_SEED,
@@ -229,6 +244,8 @@ def unit_ball_counts(theta0: float, n_seeds: int, seed: int = DEFAULT_SEED,
     """Per-seed (hybrid, pure SGD) unit-ball counts from theta0. Seed i's runs
     draw from the two children of SeedSequence(seed)'s i-th child, so the
     first counts do not depend on n_seeds."""
+    if n_seeds < 0:
+        raise ValueError(f"n_seeds must be >= 0, got {n_seeds}")
     hybrid, sgd = [], []
     for stream in np.random.SeedSequence(seed).spawn(n_seeds):
         child_h, child_s = stream.spawn(2)

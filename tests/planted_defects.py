@@ -55,6 +55,9 @@ DEFECTS = (
     ("src/sgdlab/diagnostics.py",
      "d = np.subtract(c, mean, out=c) if overwrite_costs else c - mean",
      "d = np.subtract(c, mean, out=c)", "CV estimate overwrites the caller's costs"),
+    ("src/sgdlab/verification.py", "        if abs(theta) <= 1.0:\n",
+     "        if samples and abs(theta) <= 1.0:\n",
+     "unit-ball stop skips the zero-sample iterates"),
 )
 
 # tier-1 without the golden hashes, stopping at the first failure; the

@@ -55,7 +55,8 @@ NOISELESS_LEAST_SQUARES_SHA256 = "51d3661cfab8dc10a8f9c0d95fb6e4086d6f60a1df7e8a
 # Hybrid runs whose switch reads the trailing-cost CV, at the default
 # cv_buffer; the checked-in hybrid config switches on |theta| instead.
 # Threshold 0.9 fires after 2 secant steps, 5.0 after 37. Recorded before
-# run_experiment's hybrid loop and run_hybrid's became one.
+# run_experiment's hybrid loop and the since-removed harness.run_hybrid's
+# became one.
 CV_HYBRID = dict(
     problem="rademacher", theta0=10000.0, optimizer="hybrid", switch_kind="cv",
     k=1, alpha=0.5, alpha_schedule="inverse_t", epochs=1, epoch_size=500,
@@ -155,7 +156,8 @@ def summary_config(name):
 
 
 # `sgdlab verify --quick` report: every claim's statistic to 17 digits, so
-# run_hybrid, the secant steps and the per-step SGD runs are all pinned.
+# the unit-ball runs through the run loop (verification.run_hybrid), the
+# secant steps and the per-step SGD runs are all pinned.
 VERIFY_QUICK_SHA256 = "fc5b7e8e6f5adecb5dbdf1a090cab6805f6c68983bac6eea76bc027a4c5e0ad3"
 
 # The full `sgdlab verify` report, at the default sizes and master seed.

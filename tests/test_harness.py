@@ -21,10 +21,11 @@ from sgdlab.diagnostics import RolloffPolicy, estimate_cv
 from sgdlab import harness
 from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, TraceRecord, _CvTracker,
                             _run_loop, build_problem, load_config, problem_size, read_trace,
-                            run_experiment, run_grid, run_hybrid, write_trace)
+                            run_experiment, run_grid, write_trace)
 from sgdlab.optimizers import AlphaSchedule, SwitchPolicy
 from sgdlab.problems import (BLOCK_COORDINATES, LeastSquaresProblem,
                              RademacherProblem, minibatches)
+from sgdlab.verification import SECANT_CAP, run_hybrid, samples_to_unit_ball
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -160,6 +161,15 @@ class TestConfigValidation:
         # a constant beta and a roll-off policy contradict each other
         case(58, dict(optimizer="momentum", beta=0.5, beta_policy="cv_linear"),
                  "give either 'beta' or 'beta_policy', not both"),
+        # an integer too large for a float names its key: float() overflows
+        case(59, dict(alpha=10 ** 400), "config key 'alpha': int too large to convert to float"),
+        case(60, dict(optimizer="momentum", beta=10 ** 400), "config key 'beta': int too large"),
+        case(61, dict(cv_high=10 ** 400), "config key 'cv_high': int too large"),
+        case(62, dict(switch_threshold=10 ** 400), "config key 'switch_threshold': int too large"),
+        case(63, dict(theta0=None, theta0_scale=10 ** 400),
+                 "config key 'theta0_scale': int too large"),
+        case(64, dict(theta0=10 ** 400), "theta0 must be a number"),
+        case(65, dict(theta0=[1.0, 10 ** 400]), "theta0 must be a number"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,
@@ -729,60 +739,61 @@ class TestHybridRun:
         # overflows, so the first secant step is not finite
         # the guard reports the overflow; numpy warns about none of it
         errors = np.geterr()
+        schedule = AlphaSchedule(kind="inverse_t", value=0.5)
+        never = SwitchPolicy("abs_theta", 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            run = run_hybrid(RademacherProblem(), 1e308, SwitchPolicy("abs_theta", 0.0),
-                             AlphaSchedule(kind="inverse_t", value=0.5),
-                             np.random.default_rng(0), 50)
+            with np.errstate(over="ignore", invalid="ignore"):  # as each consumer keeps it
+                steps = list(_run_loop(RademacherProblem(), np.array([1e308]),
+                                       np.random.default_rng(0), schedule, 50,
+                                       secant=True, switch=never))
+            count = run_hybrid(1e308, np.random.default_rng(0), schedule, 50, never)
             records, summary = run_experiment(make_config(theta0=1.0e308,
                                                           optimizer="secant", alpha=None))
-        assert run.diverged
-        assert np.isnan(run.iterates[-1]) and len(run.iterates) == 3
+        # theta0, the free second point, then the NaN step that ends the run
+        assert [step[0] for step in steps] == [0, 0, 1] and steps[-1][-1]
+        assert np.isnan(steps[-1][1]) and count is None
         assert summary.diverged and summary.iterations == 1 and records == []
         assert np.geterr() == errors  # the runs restore numpy's error state
 
     def test_stop_radius_checks_every_iterate(self):
-        problem, schedule = RademacherProblem(), AlphaSchedule(kind="inverse_t", value=0.5)
+        # verification's unit-ball runs stop at their first iterate with
+        # |theta| <= 1, theta0 and the free second point included at 0 samples
         # theta0 inside the ball: the run ends before drawing anything
         rng = np.random.default_rng(3)
-        run = run_hybrid(problem, 0.5, SwitchPolicy("abs_theta", 1.0), schedule, rng, 50,
-                         stop_radius=1.0)
-        assert run.iterates.tolist() == [0.5] and run.samples.tolist() == [0]
+        assert samples_to_unit_ball(0.5, rng, secant=True) == 0
         assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
         # the free second point 1.5 / 2 is inside
-        run = run_hybrid(problem, 1.5, SwitchPolicy("abs_theta", 0.0), schedule,
-                         np.random.default_rng(3), 50, stop_radius=1.0)
-        assert run.iterates.tolist() == [1.5, 0.75] and run.samples.tolist() == [0, 0]
-        # from a poor start the run ends at its first iterate inside
-        run = run_hybrid(problem, 1e4, SwitchPolicy("abs_theta", 0.0), schedule,
-                         np.random.default_rng(4), 200, stop_radius=1.0)
-        assert abs(run.iterates[-1]) <= 1.0 and np.all(np.abs(run.iterates[:-1]) > 1.0)
+        rng = np.random.default_rng(3)
+        assert samples_to_unit_ball(1.5, rng, secant=True) == 0
+        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+        # from a poor start: the samples spent at the first iterate inside of
+        # the run that goes on to its cap
+        steps = list(_run_loop(RademacherProblem(), np.array([1e4]), np.random.default_rng(4),
+                               AlphaSchedule(kind="inverse_t", value=0.5), SECANT_CAP,
+                               secant=True, switch=SwitchPolicy("abs_theta", 1.0)))
+        spent = samples_to_unit_ball(1e4, np.random.default_rng(4), secant=True)
+        assert spent == next(n for _, theta, n, *_ in steps if abs(theta) <= 1.0) >= 2
 
-    @pytest.mark.parametrize("threshold,max_iterations", [
-        # pure SGD: the switch fires on theta0
-        pytest.param(np.finfo(float).max, 10 ** 5, id="sgd"),
-        pytest.param(1.0, 200, id="hybrid"),  # secant until the unit ball
+    @pytest.mark.parametrize("secant", [
+        pytest.param(False, id="sgd"),  # pure SGD: the switch fires on theta0
+        pytest.param(True, id="hybrid"),  # secant until the unit ball
     ])
     @pytest.mark.parametrize("coefficient", [0.45, 1.25])
-    def test_stop_radius_run_draws_float_samples_in_blocks(self, threshold, max_iterations,
-                                                           coefficient):
-        problem = RademacherProblem()
+    def test_stop_radius_run_draws_float_samples_in_blocks(self, secant, coefficient,
+                                                           monkeypatch):
         drawn, seen = [], []
-        draw, evaluate = problem.sample, problem.evaluate
-        problem.sample = lambda rng, n: drawn.append(n) or draw(rng, n)
-        problem.evaluate = lambda theta, x: seen.append(type(x)) or evaluate(theta, x)
-        args = (SwitchPolicy("abs_theta", threshold),
-                AlphaSchedule(kind="inverse_t", value=coefficient))
-        run = run_hybrid(problem, 1e4, *args, np.random.default_rng(6), max_iterations,
-                         stop_radius=1.0)
-        spent = int(run.samples[-1])
-        assert abs(run.iterates[-1]) <= 1.0 and spent > 1
+        draw, evaluate = RademacherProblem.sample, RademacherProblem.evaluate
+        monkeypatch.setattr(RademacherProblem, "sample",
+                            lambda self, rng, n: drawn.append(n) or draw(self, rng, n))
+        monkeypatch.setattr(RademacherProblem, "evaluate",
+                            lambda self, theta, x: seen.append(type(x))
+                            or evaluate(self, theta, x))
+        spent = samples_to_unit_ball(1e4, np.random.default_rng(6), secant=secant,
+                                     coefficient=coefficient)
+        assert spent > 1
         # the float route, and never twice the samples spent
         assert seen == [float] * spent and sum(drawn) < 2 * spent + 1
-        # the same samples as the run that goes on past the ball
-        full = run_hybrid(RademacherProblem(), 1e4, *args, np.random.default_rng(6),
-                          max_iterations)
-        assert full.iterates[:run.iterates.shape[0]].tolist() == run.iterates.tolist()
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("switch_kind,threshold", [
@@ -792,28 +803,32 @@ class TestHybridRun:
         ("cv", 5.0),
     ])
     def test_matches_run_hybrid(self, switch_kind, threshold, seed):
-        # run_hybrid and run_experiment's hybrid optimizer share one loop;
-        # at the default cv_buffer they visit the same iterates
+        # run_experiment's hybrid optimizer and verification's run_hybrid read
+        # the one run loop: at the default cv_buffer the loop visits the
+        # records' iterates, and run_hybrid counts the samples spent at the
+        # first of them inside the unit ball
         config = ExperimentConfig.from_dict(dict(
             problem="rademacher", theta0=500.0, optimizer="hybrid",
             switch_kind=switch_kind, switch_threshold=threshold, k=1, alpha=0.5,
             alpha_schedule="inverse_t", epochs=1, epoch_size=300, eval_every=1,
             seed=seed))
         records, summary = run_experiment(config)
+        schedule = AlphaSchedule(kind="inverse_t", value=0.5)
+        switch = SwitchPolicy(kind=switch_kind, threshold=threshold)
         rng = np.random.default_rng(seed)
-        run = run_hybrid(RademacherProblem(), 500.0,
-                         SwitchPolicy(kind=switch_kind, threshold=threshold),
-                         AlphaSchedule(kind="inverse_t", value=0.5), rng, 300)
-        assert not run.diverged and not summary.diverged
-        # iterates[0] is theta0 and iterates[1] the free second point
-        assert np.array_equal(np.abs(run.iterates[2:]), [r.theta_norm for r in records])
-        assert run.iterates[-1] == summary.final_theta[0]
-        secant_rows = sum(r.alpha == 0.0 for r in records)
-        assert secant_rows == (len(records) if run.switch_index is None
-                               else run.switch_index - 1)
-        # the generator ends where one draw per sample would leave it
+        steps = list(_run_loop(RademacherProblem(), np.array([500.0]), rng, schedule, 300,
+                               secant=True, switch=switch))
+        assert not steps[-1][-1] and not summary.diverged
+        # steps[0] is theta0 and steps[1] the free second point; secant rows
+        # carry alpha 0
+        assert [abs(step[1]) for step in steps[2:]] == [r.theta_norm for r in records]
+        assert [step[7] for step in steps[2:]] == [r.alpha for r in records]
+        assert steps[-1][1] == summary.final_theta[0]
+        assert run_hybrid(500.0, np.random.default_rng(seed), schedule, 300, switch) == next(
+            (n for _, theta, n, *_ in steps if abs(theta) <= 1.0), None)
+        # the generator ends where one draw per sample would
         rng_call = np.random.default_rng(seed)
-        for _ in range(int(run.samples[-1])):
+        for _ in range(steps[-1][2]):
             RademacherProblem().sample(rng_call, 1)
         assert rng.bit_generator.state == rng_call.bit_generator.state
 
@@ -878,30 +893,24 @@ class TestFloatIterate:
         assert repr(dataclasses.replace(summary, final_theta=None)) == repr(
             dataclasses.replace(summary_off, final_theta=None))
 
-    @pytest.mark.parametrize("theta0,switch,stop_radius", [
-        pytest.param(1e4, SwitchPolicy("abs_theta", 1.0), 1.0, id="hybrid-stop_radius"),
+    @pytest.mark.parametrize("theta0,switch", [
+        pytest.param(1e4, SwitchPolicy("abs_theta", 1.0), id="hybrid-stop_radius"),
         # the switch fires on theta0: pure SGD, one draw per step
-        pytest.param(1e4, SwitchPolicy("abs_theta", 2e4), 1.0, id="sgd-stop_radius"),
-        pytest.param(500.0, SwitchPolicy("cv", 0.9), None, id="hybrid-cv"),
-        pytest.param(1e308, SwitchPolicy("abs_theta", 0.0), None, id="secant-overflow"),
+        pytest.param(1e4, SwitchPolicy("abs_theta", 2e4), id="sgd-stop_radius"),
+        pytest.param(500.0, SwitchPolicy("cv", 0.9), id="hybrid-cv"),
+        pytest.param(1e308, SwitchPolicy("abs_theta", 0.0), id="secant-overflow"),
     ])
-    def test_run_hybrid_identical_on_arrays(self, theta0, switch, stop_radius, monkeypatch):
+    def test_run_hybrid_identical_on_arrays(self, theta0, switch, monkeypatch):
+        # verification's unit-ball count and where it leaves the generator
         def run():
             rng = np.random.default_rng(17)
-            result = run_hybrid(RademacherProblem(), theta0, switch,
-                                AlphaSchedule(kind="inverse_t", value=0.45), rng, 2000,
-                                stop_radius=stop_radius)
-            return result, rng.bit_generator.state
+            count = run_hybrid(theta0, rng, AlphaSchedule(kind="inverse_t", value=0.45),
+                               2000, switch)
+            return count, rng.bit_generator.state
 
-        (floats, state), diverges = run(), theta0 == 1e308
+        floats = run()
         monkeypatch.setattr(RademacherProblem, "float_iterate", False)
-        arrays, state_off = run()
-        assert floats.diverged == arrays.diverged == diverges
-        assert floats.iterates.dtype == arrays.iterates.dtype == np.float64
-        assert floats.iterates.tobytes() == arrays.iterates.tobytes()
-        assert floats.samples.tolist() == arrays.samples.tolist()
-        assert floats.switch_index == arrays.switch_index
-        assert state == state_off
+        assert run() == floats
 
 
 class TestGrid:
@@ -1099,6 +1108,24 @@ class TestCli:
         assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.rstrip().endswith(message)
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("line,message", [
+        # a float key given an integer that float() cannot hold
+        pytest.param("cv_high: 1" + "0" * 400,
+                     "bad value for config key 'cv_high': int too large to convert to float",
+                     id="float-key-401-digits"),
+        # PyYAML's own int() refuses 4301 digits and more, its dates a month 13
+        pytest.param("seed: 1" + "0" * 5000, "integer string conversion", id="int-5001-digits"),
+        pytest.param("seed: 2024-13-01", "month must be in 1..12", id="date-month-13"),
+    ])
+    def test_run_unconvertible_number_exits_1(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"problem: rademacher\ntheta0: 1.0\noptimizer: sgd\nalpha: 0.1\n{line}\n")
+        assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 

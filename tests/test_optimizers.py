@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sgdlab.errors import ConfigurationError
-from sgdlab.harness import run_hybrid
+from sgdlab.harness import _run_loop
 from sgdlab.optimizers import (AlphaSchedule, SwitchPolicy, step_momentum,
                                step_secant, step_sgd)
-from sgdlab.problems import LeastSquaresProblem, RademacherProblem, draw_minibatch
+from sgdlab.problems import RademacherProblem, draw_minibatch
 
 
 class TestMomentumStep:
@@ -143,26 +143,20 @@ class TestArraySecantStep:
                 assert not np.isfinite(th)
 
 
+def hybrid_run(theta0, switch, rng, n_iterations):
+    """A secant-then-SGD run at the 1/(2i) rate, read from the run loop:
+    (iterates, samples spent at each, index of the first SGD iterate or None,
+    diverged). theta0 and the free second point come first, at 0 samples; a
+    secant step yields rate 0, an SGD step its rate."""
+    steps = list(_run_loop(RademacherProblem(), np.array([theta0]), rng,
+                           AlphaSchedule(kind="inverse_t", value=0.5), n_iterations,
+                           secant=True, switch=switch))
+    iterates = np.array([step[1] for step in steps])
+    first_sgd = next((i for i, step in enumerate(steps) if step[7] > 0.0), None)
+    return iterates, [step[2] for step in steps], first_sgd, steps[-1][-1]
+
+
 class TestHybrid:
-    def test_requires_scalar_problem(self):
-        with pytest.raises(ConfigurationError):
-            run_hybrid(LeastSquaresProblem(3, 10.0, 0.0, seed=0), 5.0,
-                       SwitchPolicy(), AlphaSchedule(), np.random.default_rng(0), 10)
-        # a vector start on a vector problem too: the run logs only theta[0]
-        with pytest.raises(ConfigurationError, match="scalar problem"):
-            run_hybrid(LeastSquaresProblem(3, 10.0, 0.0, seed=0), np.full(3, 5.0),
-                       SwitchPolicy(kind="abs_theta", threshold=1e9), AlphaSchedule(),
-                       np.random.default_rng(0), 10)
-        # a scalar problem takes a one-entry start only
-        with pytest.raises(ConfigurationError, match=r"has shape \(2,\), expected \(1,\)"):
-            run_hybrid(RademacherProblem(), [5.0, 1.0], SwitchPolicy(), AlphaSchedule(),
-                       np.random.default_rng(0), 10)
-
-    def test_negative_step_count_rejected(self):
-        with pytest.raises(ConfigurationError, match="max_iterations must be >= 0, got -1"):
-            run_hybrid(RademacherProblem(), 5.0, SwitchPolicy(), AlphaSchedule(),
-                       np.random.default_rng(0), -1)
-
     def test_switch_threshold_must_be_finite(self):
         with pytest.raises(ConfigurationError, match="switch threshold must be finite, got nan"):
             SwitchPolicy("abs_theta", float("nan"))
@@ -173,21 +167,20 @@ class TestHybrid:
         (0.5, 1.0),  # the switch fires on theta0: pure SGD
     ])
     def test_zero_step_run_draws_nothing(self, theta0, threshold):
-        # theta0 and the free second point are logged at no cost; the
+        # theta0 and the free second point are yielded at no cost; the
         # gradient at theta0 is spent only by a first secant step
         rng = np.random.default_rng(5)
-        run = run_hybrid(RademacherProblem(), theta0, SwitchPolicy("abs_theta", threshold),
-                         AlphaSchedule("inverse_t", 0.5), rng, 0)
-        assert run.samples.tolist() == [0] * len(run.iterates) and not run.diverged
+        iterates, samples, _, diverged = hybrid_run(
+            theta0, SwitchPolicy("abs_theta", threshold), rng, 0)
+        assert samples == [0] * len(iterates) and not diverged
         assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
     def test_never_firing_switch_is_pure_secant(self):
         problem = RademacherProblem()
-        run = run_hybrid(problem, 200.0, SwitchPolicy(kind="abs_theta", threshold=0.0),
-                         AlphaSchedule(kind="inverse_t", value=0.5),
-                         np.random.default_rng(77), 50)
-        assert run.switch_index is None
-        # replay the recorded samples as a bare secant recursion
+        iterates, _, first_sgd, _ = hybrid_run(
+            200.0, SwitchPolicy(kind="abs_theta", threshold=0.0), np.random.default_rng(77), 50)
+        assert first_sgd is None
+        # replay the samples as a bare secant recursion
         rng = np.random.default_rng(77)
         theta = 200.0
         second = 100.0
@@ -198,14 +191,13 @@ class TestHybrid:
             g = 2.0 * (theta - problem.sample(rng, 1)[0])
             theta, prev, prev_g = step_secant(prev, theta, prev_g, g), theta, g
             expect.append(theta)
-        assert np.array_equal(run.iterates, np.array(expect))
+        assert np.array_equal(iterates, np.array(expect))
 
     def test_immediate_switch_is_pure_sgd(self):
         problem = RademacherProblem()
-        run = run_hybrid(problem, 0.5, SwitchPolicy(kind="abs_theta", threshold=1.0),
-                         AlphaSchedule(kind="inverse_t", value=0.5),
-                         np.random.default_rng(78), 30)
-        assert run.switch_index == 0
+        iterates, _, first_sgd, _ = hybrid_run(
+            0.5, SwitchPolicy(kind="abs_theta", threshold=1.0), np.random.default_rng(78), 30)
+        assert first_sgd == 1  # theta0 has no free second point after it
         rng = np.random.default_rng(78)
         theta = np.array([0.5])
         expect = [0.5]
@@ -213,39 +205,34 @@ class TestHybrid:
             batch = draw_minibatch(problem, theta, 1, rng)
             theta = step_sgd(theta, batch.mean_gradient, 0.5 / i)
             expect.append(float(theta[0]))
-        assert np.array_equal(run.iterates, np.array(expect))
+        assert np.array_equal(iterates, np.array(expect))
 
     def test_secant_phase_short_from_poor_start(self):
         # from theta0=100, the |theta| <= 1 switch fires within 3 secant steps
         # in the median (iterates[0] is theta0, iterates[1] the free half point)
-        problem = RademacherProblem()
         lengths = []
         for seed in range(1000):
-            run = run_hybrid(problem, 100.0, SwitchPolicy(kind="abs_theta", threshold=1.0),
-                             AlphaSchedule(kind="inverse_t", value=0.5),
-                             np.random.default_rng(1000 + seed), 60)
-            assert run.switch_index is not None and run.switch_index >= 2
-            lengths.append(run.switch_index - 1)  # number of secant steps taken
+            _, _, first_sgd, _ = hybrid_run(
+                100.0, SwitchPolicy(kind="abs_theta", threshold=1.0),
+                np.random.default_rng(1000 + seed), 60)
+            assert first_sgd is not None and first_sgd >= 3
+            lengths.append(first_sgd - 2)  # number of secant steps taken
         assert np.median(lengths) <= 3
 
     def test_sample_accounting(self):
-        problem = RademacherProblem()
-        run = run_hybrid(problem, 1000.0, SwitchPolicy(kind="abs_theta", threshold=1.0),
-                         AlphaSchedule(kind="inverse_t", value=0.5),
-                         np.random.default_rng(79), 20)
+        iterates, samples, _, diverged = hybrid_run(
+            1000.0, SwitchPolicy(kind="abs_theta", threshold=1.0), np.random.default_rng(79), 20)
         # theta0 and the free second point cost nothing; first secant iterate
         # costs the init gradient plus one fresh sample
-        assert run.samples[0] == 0 and run.samples[1] == 0 and run.samples[2] == 2
-        assert np.all(np.diff(run.samples) >= 0)
-        assert not run.diverged
-        assert np.all(np.isfinite(run.iterates))
+        assert samples[0] == 0 and samples[1] == 0 and samples[2] == 2
+        assert np.all(np.diff(samples) >= 0)
+        assert not diverged
+        assert np.all(np.isfinite(iterates))
 
     def test_cv_switch_policy_fires(self):
-        problem = RademacherProblem()
-        run = run_hybrid(problem, 500.0, SwitchPolicy(kind="cv", threshold=0.5),
-                         AlphaSchedule(kind="inverse_t", value=0.5),
-                         np.random.default_rng(80), 400)
-        assert run.switch_index is not None
+        _, _, first_sgd, _ = hybrid_run(
+            500.0, SwitchPolicy(kind="cv", threshold=0.5), np.random.default_rng(80), 400)
+        assert first_sgd is not None
 
 
 class TestAlphaSchedule:

@@ -14,7 +14,7 @@ from sgdlab.errors import ConfigurationError
 from sgdlab.problems import BLOCK_COORDINATES
 from sgdlab.verification import (DEFAULT_SEED, OracleReport, REPORT_HEADER, START_SPAN,
                                  explicit_secant_update, format_report,
-                                 samples_to_unit_ball, secant_trials,
+                                 samples_to_unit_ball, secant_trials, unit_ball_counts,
                                  verify_cv_asymptote, verify_cv_formula,
                                  verify_hybrid_advantage,
                                  verify_minibatch_scaling,
@@ -271,6 +271,9 @@ class TestSecantAbsorption:
     @pytest.mark.parametrize("sizes,message", [
         (dict(n_trials=0), "n_trials must be >= 1, got 0"),
         (dict(long_run_trials=0), "long_run_trials must be >= 1, got 0"),
+        # zero steps would judge the uniform starts, not the secant method
+        (dict(long_run_steps=0), "long_run_steps must be >= 1, got 0"),
+        (dict(long_run_steps=-1), "long_run_steps must be >= 1, got -1"),
     ])
     def test_rejects_no_trials(self, sizes, message):
         # no trials give no frequency and no median to judge
@@ -361,6 +364,16 @@ class TestHybridAdvantage:
     def test_rejects_good_starts(self):
         with pytest.raises(ValueError):
             verify_hybrid_advantage(theta0=1.0, n_seeds=2)
+
+    def test_unit_ball_counts_of_no_seeds(self):
+        # numpy's spawn raises OverflowError on a negative count
+        assert unit_ball_counts(1e4, 0) == ([], [])
+        with pytest.raises(ValueError, match="^n_seeds must be >= 0, got -1$"):
+            unit_ball_counts(1e4, -1)
+
+    def test_unit_ball_run_takes_a_scalar_start(self):
+        with pytest.raises(ConfigurationError, match=r"has shape \(2,\), expected \(1,\)"):
+            samples_to_unit_ball([5.0, 1.0], np.random.default_rng(0), secant=True)
 
     def test_rejects_no_seeds(self):
         # the medians of no runs are NaN, which no claim can be judged on
