@@ -173,8 +173,8 @@ class ExperimentConfig:
             if values.ndim != 1:
                 raise ValueError("a nested list is not a parameter vector")
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigurationError(
-                f"theta0 must be a number or a list of numbers, got {self.theta0!r}") from exc
+            raise ConfigurationError(  # not its repr: a 4,301-digit int has none
+                f"theta0 must be a number or a list of numbers: {exc}") from exc
         if not np.all(np.isfinite(values)):
             raise ConfigurationError("theta0 has non-finite entries")
         return values
@@ -345,38 +345,39 @@ def _magnitude(theta: np.ndarray) -> float:
     return float(np.abs(theta).max())
 
 
-def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
-              schedule: Optional[AlphaSchedule], n_iterations: int, *, k: int = 1,
-              policy: Optional[RolloffPolicy] = None,
-              secant: bool = False, switch: Optional[SwitchPolicy] = None,
-              cv_every: Optional[int] = None, cv_window: int = 10, cv_buffer: int = 100,
-              risk_threshold: Optional[float] = None, train_size: Optional[int] = None):
-    """The one run loop, behind `run_experiment` and verification's unit-ball runs.
+def _run_loop(config: ExperimentConfig, problem: Problem, rng: np.random.Generator,
+              every_iterate: bool = False):
+    """The one run loop: `config`'s run on `problem`, drawing from `rng`.
 
-    With `secant`, secant steps until `switch` fires (never when it is None),
-    then SGD on `schedule` with its index restarted at 1; heavy-ball momentum
-    when a roll-off `policy` is given, a constant `beta` being the constant
-    policy. A `float_iterate` problem's iterate is a Python float, taken from
-    the (1,) array `theta`; other problems keep their array, whatever its
-    size. The secant phase still steps through the one array `step_secant`,
-    the code verification uses, and a float iterate takes `float()` of its
-    0-d result. Samples come from `minibatches` sized to the run, over a
-    finite set of `train_size` samples where one is given. What each
-    iteration calls is bound once per run; the steps and CV functions are
-    looked up in this module on each call, where perfbench's tracer wraps them.
+    It takes the run's parts, length and start point from the config (the
+    start direction is the first draw in `theta0_scale` mode). `secant` and
+    `hybrid` run secant steps until the switch fires (a `secant` run's never
+    does), then SGD with the schedule's index restarted at 1; heavy-ball
+    momentum runs on the config's roll-off policy, a constant `beta` being the
+    constant policy. A `float_iterate` problem's iterate is a Python float;
+    other problems keep their array, whatever its size. The secant phase
+    still steps through the one array `step_secant`, the code verification
+    uses, and a float iterate takes `float()` of its 0-d result. Samples come
+    from `minibatches` sized to the run, over the finite train set where the
+    config has one. What each iteration calls is bound once per run; the
+    steps and CV functions are looked up in this module on each call, where
+    perfbench's tracer wraps them.
 
     The loop reduces: it keeps the best true risk (inf while there is none)
     and the first iteration whose gap to `problem.min_risk` is within
     `risk_threshold`. It yields (iteration, theta, samples consumed, costs,
     risk, cv_raw, cv_smoothed, alpha, beta, best risk, threshold iteration,
-    diverged): with `cv_every`, only every `cv_every`-th iterate, with a CV
-    estimate, the last one and a diverged one; without, every iterate, theta0
-    and the secant phase's free second point first, as iteration 0. The
-    policy and the cv switch compute the CV estimates they need. A secant
-    step yields alpha 0; a diverged iterate is last.
+    diverged): by default only every `eval_every`-th iterate, with a CV
+    estimate, the last one and a diverged one; with `every_iterate`, every
+    iterate, theta0 and the secant phase's free second point first, as
+    iteration 0. The policy and the cv switch compute the CV estimates they
+    need. A secant step yields alpha 0; a diverged iterate is last.
     """
+    schedule, policy, switch = config.run_parts()
+    n_iterations, k, eval_every = config.total_iterations(), config.k, config.eval_every
+    theta = initial_theta(config, problem, rng)
     true_risk, min_risk = problem.true_risk, problem.min_risk or 0.0
-    tracker = _CvTracker(k, cv_window, cv_buffer)
+    tracker = _CvTracker(k, config.cv_window, config.cv_buffer)
     policy_driven = policy is not None and policy.kind != "constant"
     cv_switch = switch is not None and switch.kind == "cv"
     as_float = problem.float_iterate
@@ -385,14 +386,14 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
     evaluate, alpha = problem.evaluate, schedule and schedule.alpha
     observe = tracker.push if k < 2 else tracker.observe
     magnitude, limit, isfinite = abs if as_float else _magnitude, DIVERGENCE_LIMIT, math.isfinite
-    every_iterate, best, reach = cv_every is None, math.inf, None
+    risk_threshold, best, reach = config.risk_threshold, math.inf, None
     v = 0.0  # beta * 0.0 + g is 0.0 + g, as it was with a zero array
-    samples = 0
-    sgd_iter = 0
+    samples = sgd_iter = 0
 
     # the switch is checked on theta0 and on the free second start point
     # before any sample is spent, so an immediate switch is a pure SGD run
-    in_secant = secant and not (switch is not None and switch.fires(theta, None))
+    in_secant = config.optimizer in ("secant", "hybrid") and not (
+        switch is not None and switch.fires(theta, None))
     if every_iterate:
         yield 0, theta, 0, None, None, None, None, 0.0, 0.0, best, None, False
     if in_secant:
@@ -401,11 +402,9 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
         in_secant = switch is None or not switch.fires(theta, None)
         if every_iterate:
             yield 0, theta, 0, None, None, None, None, 0.0, 0.0, best, None, False
-    if n_iterations == 0:  # a zero-step run draws nothing, not even at theta0
-        return
     # a secant phase first spends one sample on the gradient at theta0
     next_samples = minibatches(problem, rng, k, n_iterations + int(in_secant),
-                               train_size).__next__
+                               config.train_size).__next__
     if in_secant:
         init_costs, init_grad = evaluate(start, next_samples())
         samples += 1
@@ -416,7 +415,7 @@ def _run_loop(problem: Problem, theta: np.ndarray, rng: np.random.Generator,
         costs, grad = evaluate(theta, next_samples())
         samples += 1 if costs.__class__ is float else costs.shape[0]
         observe(costs)
-        due = not every_iterate and iteration % cv_every == 0
+        due = not every_iterate and iteration % eval_every == 0
         cv_raw, cv_smoothed = (tracker.compute() if due or (
             cv_switch if in_secant else policy_driven) else (None, None))
         if in_secant:
@@ -470,20 +469,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
     record of each epoch carries the held-out cost and accuracy.
     """
     problem = build_problem(config)
-    rng = np.random.default_rng(config.seed)
-    theta = initial_theta(config, problem, rng)
     eval_every, test_metrics = config.eval_every, problem.test_metrics
     epoch_denom = config.epoch_size if config.train_size is None else config.train_size
     records: list[TraceRecord] = []
     last_record_epoch = -1  # epochs count from 0
 
-    schedule, policy, switch = config.run_parts()
-    run = _run_loop(
-        problem, theta, rng, schedule, config.total_iterations(), k=config.k,
-        policy=policy, secant=config.optimizer in ("secant", "hybrid"),
-        switch=switch, cv_every=eval_every,
-        cv_window=config.cv_window, cv_buffer=config.cv_buffer,
-        risk_threshold=config.risk_threshold, train_size=config.train_size)
+    run = _run_loop(config, problem, np.random.default_rng(config.seed))
     for (iteration, theta, samples_consumed, costs, risk, cv_raw, cv_smoothed,
          alpha_i, beta_i, best_risk, iters_to_threshold, diverged) in run:
         if diverged or iteration % eval_every:  # the last iterate is not always a record

@@ -17,9 +17,9 @@ import numpy as np
 
 from .diagnostics import estimate_cv
 from .errors import ConfigurationError
-from .harness import _run_loop
-from .optimizers import AlphaSchedule, SwitchPolicy, step_secant
-from .problems import BLOCK_COORDINATES, RademacherProblem, _as_theta
+from .harness import ExperimentConfig, _run_loop, build_problem
+from .optimizers import step_secant
+from .problems import BLOCK_COORDINATES, RademacherProblem
 
 DEFAULT_SEED = 20240817
 
@@ -214,44 +214,34 @@ def verify_minibatch_scaling(theta: float = 2.0, ks: Sequence[int] = (1, 10, 100
 
 # a diverging run overflows on its way out, and the guard ends it
 @np.errstate(over="ignore", invalid="ignore")
-def run_hybrid(theta0: float, rng: np.random.Generator, schedule: AlphaSchedule,
-               cap: int, switch: SwitchPolicy) -> Optional[int]:
-    """Samples a secant-then-SGD run of `cap` steps on the scalar cost spends
-    before its first iterate with |theta| <= 1 (theta0 and the free second
-    point at 0), or None; a diverged NaN or huge iterate fails the `<=`. Kept
-    apart under this name because perfbench times verify's unit-ball runs by
-    wrapping it (`optimizers.run_hybrid`), until its tracer wraps
-    `samples_to_unit_ball` instead."""
-    for _, theta, samples, *_ in _run_loop(RademacherProblem(), _as_theta(theta0, 1), rng,
-                                           schedule, cap, secant=True, switch=switch):
+def run_hybrid(config: ExperimentConfig, rng: np.random.Generator) -> Optional[int]:
+    """Samples a scalar config's run spends before its first iterate with
+    |theta| <= 1 (theta0 and a secant phase's free second point at 0), or
+    None; a diverged NaN or huge iterate fails the `<=`. Named for the
+    hybrid because perfbench times verify's unit-ball runs by wrapping it
+    (`optimizers.run_hybrid`)."""
+    for _, theta, samples, *_ in _run_loop(config, build_problem(config), rng,
+                                           every_iterate=True):
         if abs(theta) <= 1.0:
             return samples
     return None
 
 
-def samples_to_unit_ball(theta0: float, rng: np.random.Generator, *, secant: bool,
-                         coefficient: float = 0.5) -> Optional[int]:
-    """Samples a c/i-rate run spends before |theta| <= 1; None when it runs
-    past its cap or diverges first. With `secant` it is the secant-then-SGD
-    hybrid; without, the switch fires on any finite theta0, so it is pure SGD."""
-    threshold, cap = (1.0, SECANT_CAP) if secant else (np.finfo(float).max, UNIT_BALL_CAP)
-    return run_hybrid(theta0, rng, AlphaSchedule(kind="inverse_t", value=coefficient), cap,
-                      SwitchPolicy(kind="abs_theta", threshold=threshold))
-
-
 def unit_ball_counts(theta0: float, n_seeds: int, seed: int = DEFAULT_SEED,
                      coefficient: float = 0.5) -> tuple[list[Optional[int]], list[Optional[int]]]:
-    """Per-seed (hybrid, pure SGD) unit-ball counts from theta0. Seed i's runs
-    draw from the two children of SeedSequence(seed)'s i-th child, so the
-    first counts do not depend on n_seeds."""
+    """Per-seed (hybrid, pure SGD) unit-ball counts of c/i-rate runs from
+    theta0, None for a run past its cap or diverged. Seed i's runs draw from
+    the two children of SeedSequence(seed)'s i-th child, so the first counts
+    do not depend on n_seeds."""
     if n_seeds < 0:
         raise ValueError(f"n_seeds must be >= 0, got {n_seeds}")
+    configs = [ExperimentConfig(theta0=theta0, optimizer=optimizer, alpha=coefficient,
+                                alpha_schedule="inverse_t", epoch_size=cap)
+               for optimizer, cap in (("hybrid", SECANT_CAP), ("sgd", UNIT_BALL_CAP))]
     hybrid, sgd = [], []
     for stream in np.random.SeedSequence(seed).spawn(n_seeds):
-        child_h, child_s = stream.spawn(2)
-        for counts, child, secant in ((hybrid, child_h, True), (sgd, child_s, False)):
-            counts.append(samples_to_unit_ball(theta0, np.random.default_rng(child),
-                                               secant=secant, coefficient=coefficient))
+        for counts, config, child in zip((hybrid, sgd), configs, stream.spawn(2)):
+            counts.append(run_hybrid(config, np.random.default_rng(child)))
     return hybrid, sgd
 
 

@@ -58,6 +58,8 @@ DEFECTS = (
     ("src/sgdlab/verification.py", "        if abs(theta) <= 1.0:\n",
      "        if samples and abs(theta) <= 1.0:\n",
      "unit-ball stop skips the zero-sample iterates"),
+    ("src/sgdlab/verification.py", '(("hybrid", SECANT_CAP), ("sgd", UNIT_BALL_CAP))',
+     '(("hybrid", UNIT_BALL_CAP), ("sgd", SECANT_CAP))', "unit-ball caps swapped"),
 )
 
 # tier-1 without the golden hashes, stopping at the first failure; the

@@ -25,7 +25,9 @@ from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, TraceRecord, _CvTrac
 from sgdlab.optimizers import AlphaSchedule, SwitchPolicy
 from sgdlab.problems import (BLOCK_COORDINATES, LeastSquaresProblem,
                              RademacherProblem, minibatches)
-from sgdlab.verification import SECANT_CAP, run_hybrid, samples_to_unit_ball
+from sgdlab.verification import SECANT_CAP, run_hybrid
+
+from test_verification import unit_ball_run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -170,6 +172,9 @@ class TestConfigValidation:
                  "config key 'theta0_scale': int too large"),
         case(64, dict(theta0=10 ** 400), "theta0 must be a number"),
         case(65, dict(theta0=[1.0, 10 ** 400]), "theta0 must be a number"),
+        # Python reprs no int of more than 4,300 digits, so the message must not
+        case(66, dict(theta0=10 ** 5000),
+                 "theta0 must be a number or a list of numbers: int too large"),
     ])
     def test_bad_configs(self, overrides, message):
         base = dict(problem="rademacher", theta0=2.0, optimizer="sgd", k=1,
@@ -739,15 +744,14 @@ class TestHybridRun:
         # overflows, so the first secant step is not finite
         # the guard reports the overflow; numpy warns about none of it
         errors = np.geterr()
-        schedule = AlphaSchedule(kind="inverse_t", value=0.5)
-        never = SwitchPolicy("abs_theta", 0.0)
+        never = make_config(theta0=1e308, optimizer="hybrid", switch_threshold=0.0,
+                            alpha=0.5, alpha_schedule="inverse_t", epoch_size=50)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with np.errstate(over="ignore", invalid="ignore"):  # as each consumer keeps it
-                steps = list(_run_loop(RademacherProblem(), np.array([1e308]),
-                                       np.random.default_rng(0), schedule, 50,
-                                       secant=True, switch=never))
-            count = run_hybrid(1e308, np.random.default_rng(0), schedule, 50, never)
+                steps = list(_run_loop(never, RademacherProblem(), np.random.default_rng(0),
+                                       every_iterate=True))
+            count = run_hybrid(never, np.random.default_rng(0))
             records, summary = run_experiment(make_config(theta0=1.0e308,
                                                           optimizer="secant", alpha=None))
         # theta0, the free second point, then the NaN step that ends the run
@@ -760,27 +764,26 @@ class TestHybridRun:
         # verification's unit-ball runs stop at their first iterate with
         # |theta| <= 1, theta0 and the free second point included at 0 samples
         # theta0 inside the ball: the run ends before drawing anything
-        rng = np.random.default_rng(3)
-        assert samples_to_unit_ball(0.5, rng, secant=True) == 0
-        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+        for optimizer in ("hybrid", "sgd"):
+            rng = np.random.default_rng(3)
+            assert unit_ball_run(0.5, rng, optimizer) == 0
+            assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
         # the free second point 1.5 / 2 is inside
         rng = np.random.default_rng(3)
-        assert samples_to_unit_ball(1.5, rng, secant=True) == 0
+        assert unit_ball_run(1.5, rng) == 0
         assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
         # from a poor start: the samples spent at the first iterate inside of
         # the run that goes on to its cap
-        steps = list(_run_loop(RademacherProblem(), np.array([1e4]), np.random.default_rng(4),
-                               AlphaSchedule(kind="inverse_t", value=0.5), SECANT_CAP,
-                               secant=True, switch=SwitchPolicy("abs_theta", 1.0)))
-        spent = samples_to_unit_ball(1e4, np.random.default_rng(4), secant=True)
+        config = make_config(theta0=1e4, optimizer="hybrid", alpha=0.5,
+                             alpha_schedule="inverse_t", epoch_size=SECANT_CAP)
+        steps = list(_run_loop(config, RademacherProblem(), np.random.default_rng(4),
+                               every_iterate=True))
+        spent = unit_ball_run(1e4, np.random.default_rng(4))
         assert spent == next(n for _, theta, n, *_ in steps if abs(theta) <= 1.0) >= 2
 
-    @pytest.mark.parametrize("secant", [
-        pytest.param(False, id="sgd"),  # pure SGD: the switch fires on theta0
-        pytest.param(True, id="hybrid"),  # secant until the unit ball
-    ])
+    @pytest.mark.parametrize("optimizer", ["sgd", "hybrid"])
     @pytest.mark.parametrize("coefficient", [0.45, 1.25])
-    def test_stop_radius_run_draws_float_samples_in_blocks(self, secant, coefficient,
+    def test_stop_radius_run_draws_float_samples_in_blocks(self, optimizer, coefficient,
                                                            monkeypatch):
         drawn, seen = [], []
         draw, evaluate = RademacherProblem.sample, RademacherProblem.evaluate
@@ -789,8 +792,7 @@ class TestHybridRun:
         monkeypatch.setattr(RademacherProblem, "evaluate",
                             lambda self, theta, x: seen.append(type(x))
                             or evaluate(self, theta, x))
-        spent = samples_to_unit_ball(1e4, np.random.default_rng(6), secant=secant,
-                                     coefficient=coefficient)
+        spent = unit_ball_run(1e4, np.random.default_rng(6), optimizer, coefficient)
         assert spent > 1
         # the float route, and never twice the samples spent
         assert seen == [float] * spent and sum(drawn) < 2 * spent + 1
@@ -813,18 +815,15 @@ class TestHybridRun:
             alpha_schedule="inverse_t", epochs=1, epoch_size=300, eval_every=1,
             seed=seed))
         records, summary = run_experiment(config)
-        schedule = AlphaSchedule(kind="inverse_t", value=0.5)
-        switch = SwitchPolicy(kind=switch_kind, threshold=threshold)
         rng = np.random.default_rng(seed)
-        steps = list(_run_loop(RademacherProblem(), np.array([500.0]), rng, schedule, 300,
-                               secant=True, switch=switch))
+        steps = list(_run_loop(config, RademacherProblem(), rng, every_iterate=True))
         assert not steps[-1][-1] and not summary.diverged
         # steps[0] is theta0 and steps[1] the free second point; secant rows
         # carry alpha 0
         assert [abs(step[1]) for step in steps[2:]] == [r.theta_norm for r in records]
         assert [step[7] for step in steps[2:]] == [r.alpha for r in records]
         assert steps[-1][1] == summary.final_theta[0]
-        assert run_hybrid(500.0, np.random.default_rng(seed), schedule, 300, switch) == next(
+        assert run_hybrid(config, np.random.default_rng(seed)) == next(
             (n for _, theta, n, *_ in steps if abs(theta) <= 1.0), None)
         # the generator ends where one draw per sample would
         rng_call = np.random.default_rng(seed)
@@ -841,10 +840,10 @@ def _rademacher(**overrides):
 
 
 def _iterate_types(problem, secant=False):
-    run = _run_loop(problem, np.array([40.0]), np.random.default_rng(0),
-                    AlphaSchedule(kind="inverse_t", value=0.5), 20, secant=secant,
-                    switch=SwitchPolicy("abs_theta", 1.0) if secant else None)
-    return {type(step[1]) for step in run}
+    config = _rademacher(optimizer="hybrid" if secant else "sgd", theta0=40.0, epochs=1,
+                         epoch_size=20)
+    return {type(step[1]) for step in _run_loop(config, problem, np.random.default_rng(0),
+                                                every_iterate=True)}
 
 
 class TestFloatIterate:
@@ -894,19 +893,21 @@ class TestFloatIterate:
             dataclasses.replace(summary_off, final_theta=None))
 
     @pytest.mark.parametrize("theta0,switch", [
-        pytest.param(1e4, SwitchPolicy("abs_theta", 1.0), id="hybrid-stop_radius"),
+        pytest.param(1e4, ("abs_theta", 1.0), id="hybrid-stop_radius"),
         # the switch fires on theta0: pure SGD, one draw per step
-        pytest.param(1e4, SwitchPolicy("abs_theta", 2e4), id="sgd-stop_radius"),
-        pytest.param(500.0, SwitchPolicy("cv", 0.9), id="hybrid-cv"),
-        pytest.param(1e308, SwitchPolicy("abs_theta", 0.0), id="secant-overflow"),
+        pytest.param(1e4, ("abs_theta", 2e4), id="sgd-stop_radius"),
+        pytest.param(500.0, ("cv", 0.9), id="hybrid-cv"),
+        pytest.param(1e308, ("abs_theta", 0.0), id="secant-overflow"),
     ])
     def test_run_hybrid_identical_on_arrays(self, theta0, switch, monkeypatch):
         # verification's unit-ball count and where it leaves the generator
+        config = make_config(theta0=theta0, optimizer="hybrid", switch_kind=switch[0],
+                             switch_threshold=switch[1], alpha=0.45,
+                             alpha_schedule="inverse_t", epoch_size=2000)
+
         def run():
             rng = np.random.default_rng(17)
-            count = run_hybrid(theta0, rng, AlphaSchedule(kind="inverse_t", value=0.45),
-                               2000, switch)
-            return count, rng.bit_generator.state
+            return run_hybrid(config, rng), rng.bit_generator.state
 
         floats = run()
         monkeypatch.setattr(RademacherProblem, "float_iterate", False)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sgdlab.errors import ConfigurationError
-from sgdlab.harness import _run_loop
+from sgdlab.harness import ExperimentConfig, _run_loop
 from sgdlab.optimizers import (AlphaSchedule, SwitchPolicy, step_momentum,
                                step_secant, step_sgd)
 from sgdlab.problems import RademacherProblem, draw_minibatch
@@ -143,14 +143,15 @@ class TestArraySecantStep:
                 assert not np.isfinite(th)
 
 
-def hybrid_run(theta0, switch, rng, n_iterations):
-    """A secant-then-SGD run at the 1/(2i) rate, read from the run loop:
-    (iterates, samples spent at each, index of the first SGD iterate or None,
-    diverged). theta0 and the free second point come first, at 0 samples; a
-    secant step yields rate 0, an SGD step its rate."""
-    steps = list(_run_loop(RademacherProblem(), np.array([theta0]), rng,
-                           AlphaSchedule(kind="inverse_t", value=0.5), n_iterations,
-                           secant=True, switch=switch))
+def hybrid_run(theta0, threshold, rng, n_iterations, switch_kind="abs_theta"):
+    """A `hybrid` config's run of n_iterations at the 1/(2i) rate, read from the
+    run loop: (iterates, samples spent at each, index of the first SGD iterate
+    or None, diverged). theta0 and the free second point come first, at 0
+    samples; a secant step yields rate 0, an SGD step its rate."""
+    config = ExperimentConfig(theta0=theta0, optimizer="hybrid", switch_kind=switch_kind,
+                              switch_threshold=threshold, alpha=0.5,
+                              alpha_schedule="inverse_t", epoch_size=n_iterations)
+    steps = list(_run_loop(config, RademacherProblem(), rng, every_iterate=True))
     iterates = np.array([step[1] for step in steps])
     first_sgd = next((i for i, step in enumerate(steps) if step[7] > 0.0), None)
     return iterates, [step[2] for step in steps], first_sgd, steps[-1][-1]
@@ -161,24 +162,9 @@ class TestHybrid:
         with pytest.raises(ConfigurationError, match="switch threshold must be finite, got nan"):
             SwitchPolicy("abs_theta", float("nan"))
 
-    @pytest.mark.parametrize("theta0,threshold", [
-        (100.0, 1.0),  # a secant start
-        (0.0, -1.0),  # a secant start at 0, whose free second point is 1.0
-        (0.5, 1.0),  # the switch fires on theta0: pure SGD
-    ])
-    def test_zero_step_run_draws_nothing(self, theta0, threshold):
-        # theta0 and the free second point are yielded at no cost; the
-        # gradient at theta0 is spent only by a first secant step
-        rng = np.random.default_rng(5)
-        iterates, samples, _, diverged = hybrid_run(
-            theta0, SwitchPolicy("abs_theta", threshold), rng, 0)
-        assert samples == [0] * len(iterates) and not diverged
-        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
-
     def test_never_firing_switch_is_pure_secant(self):
         problem = RademacherProblem()
-        iterates, _, first_sgd, _ = hybrid_run(
-            200.0, SwitchPolicy(kind="abs_theta", threshold=0.0), np.random.default_rng(77), 50)
+        iterates, _, first_sgd, _ = hybrid_run(200.0, 0.0, np.random.default_rng(77), 50)
         assert first_sgd is None
         # replay the samples as a bare secant recursion
         rng = np.random.default_rng(77)
@@ -195,8 +181,7 @@ class TestHybrid:
 
     def test_immediate_switch_is_pure_sgd(self):
         problem = RademacherProblem()
-        iterates, _, first_sgd, _ = hybrid_run(
-            0.5, SwitchPolicy(kind="abs_theta", threshold=1.0), np.random.default_rng(78), 30)
+        iterates, _, first_sgd, _ = hybrid_run(0.5, 1.0, np.random.default_rng(78), 30)
         assert first_sgd == 1  # theta0 has no free second point after it
         rng = np.random.default_rng(78)
         theta = np.array([0.5])
@@ -212,16 +197,13 @@ class TestHybrid:
         # in the median (iterates[0] is theta0, iterates[1] the free half point)
         lengths = []
         for seed in range(1000):
-            _, _, first_sgd, _ = hybrid_run(
-                100.0, SwitchPolicy(kind="abs_theta", threshold=1.0),
-                np.random.default_rng(1000 + seed), 60)
+            _, _, first_sgd, _ = hybrid_run(100.0, 1.0, np.random.default_rng(1000 + seed), 60)
             assert first_sgd is not None and first_sgd >= 3
             lengths.append(first_sgd - 2)  # number of secant steps taken
         assert np.median(lengths) <= 3
 
     def test_sample_accounting(self):
-        iterates, samples, _, diverged = hybrid_run(
-            1000.0, SwitchPolicy(kind="abs_theta", threshold=1.0), np.random.default_rng(79), 20)
+        iterates, samples, _, diverged = hybrid_run(1000.0, 1.0, np.random.default_rng(79), 20)
         # theta0 and the free second point cost nothing; first secant iterate
         # costs the init gradient plus one fresh sample
         assert samples[0] == 0 and samples[1] == 0 and samples[2] == 2
@@ -230,8 +212,8 @@ class TestHybrid:
         assert np.all(np.isfinite(iterates))
 
     def test_cv_switch_policy_fires(self):
-        _, _, first_sgd, _ = hybrid_run(
-            500.0, SwitchPolicy(kind="cv", threshold=0.5), np.random.default_rng(80), 400)
+        _, _, first_sgd, _ = hybrid_run(500.0, 0.5, np.random.default_rng(80), 400,
+                                        switch_kind="cv")
         assert first_sgd is not None
 
 

@@ -288,6 +288,15 @@ class TestMinibatch:
         assert abs(batch.costs.mean() - 5.0) <= 4.0 * 4.0 / np.sqrt(k)
         assert abs(batch.costs.std(ddof=1) - 4.0) <= 0.01 * 4.0
 
+    @pytest.mark.parametrize("theta,message", [
+        ([5.0, 1.0], r"parameter vector has shape \(2,\), expected \(1,\)"),
+        ([float("nan")], "parameter vector has non-finite entries"),
+    ])
+    def test_bad_theta_is_a_config_error(self, theta, message):
+        p = RademacherProblem()
+        with pytest.raises(ConfigurationError, match=message):
+            evaluate_minibatch(p, theta, p.sample(np.random.default_rng(0), 3))
+
     def test_reproducible_given_seed(self):
         p = LeastSquaresProblem(4, 10.0, 0.1, seed=0)
         b1 = draw_minibatch(p, np.zeros(4), 16, np.random.default_rng(33))

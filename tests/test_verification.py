@@ -11,14 +11,22 @@ import pytest
 from monte_carlo_oracle import reference_cv_formula, reference_minibatch_scaling
 from secant_absorption_oracle import reference_secant_absorption
 from sgdlab.errors import ConfigurationError
+from sgdlab.harness import ExperimentConfig
 from sgdlab.problems import BLOCK_COORDINATES
-from sgdlab.verification import (DEFAULT_SEED, OracleReport, REPORT_HEADER, START_SPAN,
-                                 explicit_secant_update, format_report,
-                                 samples_to_unit_ball, secant_trials, unit_ball_counts,
+from sgdlab.verification import (DEFAULT_SEED, OracleReport, REPORT_HEADER, SECANT_CAP,
+                                 START_SPAN, UNIT_BALL_CAP, explicit_secant_update,
+                                 format_report, run_hybrid, secant_trials, unit_ball_counts,
                                  verify_cv_asymptote, verify_cv_formula,
                                  verify_hybrid_advantage,
                                  verify_minibatch_scaling,
                                  verify_secant_absorption, write_report)
+
+
+def unit_ball_run(theta0, rng, optimizer="hybrid", coefficient=0.5):
+    """The unit-ball count of the `hybrid` or `sgd` config unit_ball_counts runs."""
+    cap = SECANT_CAP if optimizer == "hybrid" else UNIT_BALL_CAP
+    return run_hybrid(ExperimentConfig(theta0=theta0, optimizer=optimizer, alpha=coefficient,
+                                       alpha_schedule="inverse_t", epoch_size=cap), rng)
 
 
 class TestClaimPasses:
@@ -318,7 +326,7 @@ class TestHybridAdvantage:
         # alpha_1 = 1/2 and gradient 2(theta - x) make step one land exactly
         # on x, so |theta| reaches 1 after a single sample from any start
         for seed in range(20):
-            reached = samples_to_unit_ball(1e4, np.random.default_rng(seed), secant=False)
+            reached = unit_ball_run(1e4, np.random.default_rng(seed), "sgd")
             assert reached == 1
 
     def test_half_integer_coefficient_lands_at_sample_2c(self):
@@ -327,8 +335,7 @@ class TestHybridAdvantage:
         # acceptance criterion excludes these rates as comparators
         for m in (1, 2, 3, 4):
             for seed in range(20):
-                reached = samples_to_unit_ball(
-                    1e4, np.random.default_rng(seed), secant=False, coefficient=m / 2)
+                reached = unit_ball_run(1e4, np.random.default_rng(seed), "sgd", m / 2)
                 assert reached == m, f"coefficient {m / 2}, seed {seed}"
 
     @pytest.mark.parametrize("theta0,coefficient", [
@@ -340,19 +347,18 @@ class TestHybridAdvantage:
         # is a diverged run, which has no count
         rng = np.random.default_rng(0)
         if math.isfinite(theta0):
-            assert samples_to_unit_ball(theta0, rng, secant=False,
-                                        coefficient=coefficient) is None
+            assert unit_ball_run(theta0, rng, "sgd", coefficient) is None
         else:
             with pytest.raises(ConfigurationError, match="non-finite"):
-                samples_to_unit_ball(theta0, rng, secant=False, coefficient=coefficient)
+                unit_ball_run(theta0, rng, "sgd", coefficient)
 
     def test_hybrid_run_that_overflows_has_no_count(self):
         # the start is finite; the secant steps from it overflow
-        assert samples_to_unit_ball(1e308, np.random.default_rng(0), secant=True) is None
+        assert unit_ball_run(1e308, np.random.default_rng(0)) is None
 
     def test_hybrid_needs_at_least_two_samples(self):
         for seed in range(20):
-            reached = samples_to_unit_ball(1e4, np.random.default_rng(seed), secant=True)
+            reached = unit_ball_run(1e4, np.random.default_rng(seed))
             assert reached is not None and reached >= 2
 
     def test_report_records_honest_medians(self):
@@ -372,8 +378,25 @@ class TestHybridAdvantage:
             unit_ball_counts(1e4, -1)
 
     def test_unit_ball_run_takes_a_scalar_start(self):
-        with pytest.raises(ConfigurationError, match=r"has shape \(2,\), expected \(1,\)"):
-            samples_to_unit_ball([5.0, 1.0], np.random.default_rng(0), secant=True)
+        with pytest.raises(ConfigurationError, match="theta0 has 2 entries, problem needs 1"):
+            unit_ball_run([5.0, 1.0], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("theta0", [
+        pytest.param(10 ** 5000, id="int-5001-digits"),  # float() overflows; no repr
+        pytest.param(True, id="bool"),  # float() would read it as 1.0
+    ])
+    def test_unit_ball_counts_check_their_start(self, theta0):
+        # the two configs are built, and so checked, before any seed runs
+        for n_seeds in (0, 1):
+            with pytest.raises(ConfigurationError, match="theta0 must be a number"):
+                unit_ball_counts(theta0, n_seeds)
+
+    def test_sgd_comparator_outlasts_the_secant_cap(self):
+        # at c = 0.45 pure SGD needs thousands of samples from 1e4: the
+        # comparator's cap is UNIT_BALL_CAP, and only the hybrid's is SECANT_CAP
+        hybrid, sgd = unit_ball_counts(1e4, 10, coefficient=0.45)
+        assert all(n is not None and n <= SECANT_CAP for n in hybrid)
+        assert all(n is not None and SECANT_CAP < n < UNIT_BALL_CAP for n in sgd)
 
     def test_rejects_no_seeds(self):
         # the medians of no runs are NaN, which no claim can be judged on
