@@ -8,6 +8,8 @@ so runs are reproducible from a 64-bit seed.
 
 from __future__ import annotations
 
+import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -37,11 +39,14 @@ class Problem:
     true_risk = None  # a method true_risk(theta) where the risk has a closed form
     test_metrics = None  # a method test_metrics(theta) -> (held-out cost, accuracy)
     min_risk: Optional[float] = None  # the risk's minimum, where known
-    # True when a run draws its fresh samples in blocks: one sample(rng, m * k)
-    # call returns exactly the samples of m successive sample(rng, k) calls, and
-    # `subset` of a slice of it returns them as a `sample` call for those alone.
-    # Only rademacher sets it: per-call cost dominates only its scalar draws.
+    # True when a run draws its fresh samples in blocks of m minibatches, the
+    # samples of m successive sample(rng, k) calls: rademacher slices one
+    # sample(rng, m * k) call with `subset`; noiseless least squares fills a
+    # block with standard normal rows and makes minibatches of them by `finish`.
     block_draws: bool = False
+    # where a block is one standard_normal fill, a method finish(normals) ->
+    # the samples that `sample` makes of these standard normal (n, dim) rows
+    finish = None
     # True when the run loop holds the iterate as a Python float instead of a
     # (1,) array: the same IEEE double operations in the same order, without
     # numpy's per-call cost. Such a problem's evaluate and true_risk take a
@@ -128,6 +133,21 @@ def check_bounds(**values) -> None:
 BLOCK_COORDINATES = 2 ** 16
 
 
+def usable_cpus() -> int:
+    """How many CPUs this process may run on (all of them where the OS cannot say)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _block_sizes(cap: int, n_batches: int):
+    """Minibatches per block: 1, 2, 4, ... up to `cap`, n_batches in all."""
+    drawn = 0
+    while drawn < n_batches:
+        n = min(drawn + 1, cap, n_batches - drawn)
+        drawn += n
+        yield n
+
+
 def minibatches(problem: Problem, rng: np.random.Generator, k: int, n_batches: int,
                 train_size: Optional[int] = None):
     """A run's minibatches of k samples, in the run's RNG draw order: the one
@@ -137,16 +157,21 @@ def minibatches(problem: Problem, rng: np.random.Generator, k: int, n_batches: i
     draws one permutation and yields the set k samples at a time, the last
     minibatch short where k does not divide train_size.
 
-    Otherwise every minibatch is fresh. Where `problem.block_draws` holds
-    (rademacher only), one `sample` call draws a block of 1, 2, 4, ...
-    minibatches (at most BLOCK_COORDINATES coordinates, never more than the
-    run still needs) and `problem.subset` slices each from it in turn, so a
-    run that stops early has drawn under twice the samples it spent plus one.
-    Other problems draw once per minibatch. Both give the same samples, and a
+    Otherwise every minibatch is fresh. Where `problem.block_draws` holds,
+    blocks of 1, 2, 4, ... minibatches are drawn (at most BLOCK_COORDINATES
+    coordinates, never more than the run still needs) and read in turn:
+    - rademacher slices one `sample` call per block with `problem.subset`
+      (floats, one `tolist()` per block, for one-sample minibatches); a run
+      that stops early has drawn under twice the samples it spent plus one;
+    - noiseless least squares fills a block with one standard_normal call, a
+      worker thread the next one while this one is read (the reading thread,
+      first, with one usable CPU), and `problem.finish` makes each k rows a
+      minibatch; a run that stops early has drawn what it spent plus at most
+      two blocks. The worker ends with the generator, and a fill's error is
+      raised here.
+    Other problems draw once per minibatch. All give the same samples, and a
     run that takes all `n_batches` leaves the generator where per-call draws
-    do. A `float_iterate` problem's blocked one-sample minibatches are floats,
-    one `tolist()` per block. A draw too large for numpy is a config error on
-    train_size or k.
+    do. A draw too large for numpy is a config error on train_size or k.
     """
     if train_size is not None:
         with too_large(f"train_size = {train_size} is too large to draw"):
@@ -156,20 +181,68 @@ def minibatches(problem: Problem, rng: np.random.Generator, k: int, n_batches: i
             for start in range(0, train_size, k):
                 yield problem.subset(train, perm[start:start + k])
     cap = BLOCK_COORDINATES // (k * problem.dim) if problem.block_draws else 0
-    drawn = 0
     # only a draw allocates here, and only the first, of k samples, can be too large
     with too_large(f"k = {k} is too large to draw a minibatch"):
         while cap < 2:  # a block of one minibatch is a per-call draw
             yield problem.sample(rng, k)
-        while drawn < n_batches:
-            n = min(drawn + 1, cap, n_batches - drawn)  # 1, 2, 4, ... up to the cap
-            drawn += n
-            block = problem.sample(rng, n * k)
-            if k == 1 and problem.float_iterate:
-                yield from block.tolist()
-                continue
-            for start in range(0, n * k, k):
-                yield problem.subset(block, slice(start, start + k))
+        sizes = _block_sizes(cap, n_batches)
+        if problem.finish is not None:
+            yield from _filled_ahead(problem, rng, k, cap, sizes)
+        else:
+            for n in sizes:
+                block = problem.sample(rng, n * k)
+                if k == 1 and problem.float_iterate:
+                    yield from block.tolist()
+                    continue
+                for start in range(0, n * k, k):
+                    yield problem.subset(block, slice(start, start + k))
+
+
+def _filled_ahead(problem: Problem, rng: np.random.Generator, k: int, cap: int, sizes):
+    """`minibatches` of noiseless least squares: blocks of `sizes` minibatches,
+    each one standard_normal fill, the next by a worker while one is read."""
+    buffers = np.empty((2, cap * k, problem.dim))
+    errors, todo, worker = [], [], None
+    handed, taken, filled = threading.Lock(), threading.Lock(), threading.Lock()
+    for lock in (handed, taken, filled):
+        lock.acquire()
+
+    def fill(out):  # the one call a block costs; numpy releases the GIL in it
+        try:
+            rng.standard_normal(out=out)
+        except BaseException as exc:  # raised again by the reading thread
+            errors.append(exc)
+        filled.release()
+
+    def work():  # fills the blocks it is handed, in turn, until it is handed None
+        while handed.acquire() and (out := todo.pop()) is not None:
+            taken.release()  # the reader blocks on this, so the worker had the GIL at once
+            fill(out)
+
+    if usable_cpus() > 1:  # a daemon: a stream still open does not hold up exit
+        worker = threading.Thread(target=work, daemon=True)
+        worker.start()
+    try:
+        n, which = next(sizes, 0), 0
+        fill(buffers[0, :n * k])  # nothing to overlap the first block with
+        while n:
+            filled.acquire()
+            if errors:
+                raise errors[0]
+            block, n, which = buffers[which, :n * k], next(sizes, 0), 1 - which
+            if n and worker is None:
+                fill(buffers[which, :n * k])
+            elif n:  # the next block fills while this one is read
+                todo.append(buffers[which, :n * k])
+                handed.release()
+                taken.acquire()
+            for start in range(0, block.shape[0], k):
+                yield problem.finish(block[start:start + k])
+    finally:
+        if worker is not None:
+            todo.append(None)
+            handed.release()
+            worker.join()
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +320,20 @@ class LeastSquaresProblem(Problem):
         delta = np.asarray(theta, dtype=float).reshape(-1) - self.w_star
         return float(np.dot(self.eigenvalues, delta * delta) + self.noise_std ** 2)
 
+    @property
+    def block_draws(self) -> bool:
+        # noiseless samples are one standard_normal fill; noise interleaves a
+        # second draw after each call's features
+        return self.noise_std == 0.0
+
+    def finish(self, normals: Array):
+        # a fresh features array, so the rows may be refilled; the targets of
+        # these rows alone, as per-call draws: a taller gemv may round otherwise
+        features = normals * self._feature_scale
+        return features, features @ self.w_star
+
     def sample(self, rng: np.random.Generator, n: int):
-        features = rng.standard_normal((n, self.dim)) * self._feature_scale
-        targets = features @ self.w_star
+        features, targets = self.finish(rng.standard_normal((n, self.dim)))
         if self.noise_std > 0.0:
             targets = targets + self.noise_std * rng.standard_normal(n)
         return features, targets

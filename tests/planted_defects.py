@@ -60,6 +60,9 @@ DEFECTS = (
      "unit-ball stop skips the zero-sample iterates"),
     ("src/sgdlab/verification.py", '(("hybrid", SECANT_CAP), ("sgd", UNIT_BALL_CAP))',
      '(("hybrid", UNIT_BALL_CAP), ("sgd", SECANT_CAP))', "unit-ball caps swapped"),
+    ("src/sgdlab/problems.py", "buffers[which, :n * k], next(sizes, 0), 1 - which",
+     "buffers[which, :n * k], next(sizes, 1), 1 - which",
+     "least-squares draw-ahead fills a block past n_batches"),
 )
 
 # tier-1 without the golden hashes, stopping at the first failure; the

@@ -41,10 +41,10 @@ NOISY_LEAST_SQUARES = dict(
     alpha=0.01, epochs=2, epoch_size=400, eval_every=5, seed=21)
 NOISY_LEAST_SQUARES_SHA256 = "f1eb47ad647c10a2b8e381ee3f80c0dd86a1d7771ddc7d9f0fee54585d3f0b2a"
 
-# Noiseless least squares with k * dim = 7000, recorded when its fresh samples
-# were drawn in blocks of up to 9 minibatches: a row's targets summed inside a
-# taller matrix may round differently, so this pins per-call draws to the
-# samples and traces the blocks gave.
+# Noiseless least squares with k * dim = 7000, drawn in blocks of up to 9
+# minibatches that a worker thread fills: the same trace as per-call draws,
+# since each minibatch's targets come from its own rows (a row's targets
+# summed inside a taller matrix may round differently).
 NOISELESS_LEAST_SQUARES = dict(
     problem="least_squares", dim=1000, condition_number=10.0, noise_std=0.0,
     theta0_scale=3.0, optimizer="momentum", beta=0.5, k=7, alpha=1e-4, epochs=1,

@@ -7,8 +7,10 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from collections import deque
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from sgdlab.cli import main as cli_main
 from sgdlab.errors import ConfigurationError, TraceFormatError
 from sgdlab.diagnostics import RolloffPolicy, estimate_cv
-from sgdlab import harness
+from sgdlab import harness, problems
 from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, TraceRecord, _CvTracker,
                             _run_loop, build_problem, load_config, problem_size, read_trace,
                             run_experiment, run_grid, write_trace)
@@ -30,6 +32,11 @@ from sgdlab.verification import SECANT_CAP, run_hybrid
 from test_verification import unit_ball_run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def batch_parts(batch):
+    """rademacher's sample array, or least squares' (features, targets)."""
+    return (batch,) if isinstance(batch, np.ndarray) else batch
 
 
 def make_config(**overrides):
@@ -623,63 +630,173 @@ class TestCvTracker:
 class TestSampleStream:
     """Block-drawn fresh samples equal per-call draws, sample for sample."""
 
-    @pytest.mark.parametrize("k,n_batches,blocks", [
+    class Recorder:
+        """A Generator's draws, delegated, with the sample rows of each call."""
+
+        def __init__(self, rng, fail_at=None):
+            self.rng, self.rows, self.fail_at = rng, [], fail_at
+
+        def integers(self, low, high, size):
+            self.rows.append(size)
+            return self.rng.integers(low, high, size=size)
+
+        def standard_normal(self, size=None, out=None):
+            self.rows.append(size[0] if out is None else out.shape[0])
+            if len(self.rows) == self.fail_at:
+                raise MemoryError("no room for the block")
+            return self.rng.standard_normal(size, out=out)
+
+    @pytest.mark.parametrize("make,k,n_batches,blocks,cpus", [
         # blocks of 1, 2, 4, ... batches: 13 blocks hold 8191 batches, the
         # last 1172 stay under the cap (k = 7 does not divide 2^16: 9362)
-        pytest.param(7, 9363, [2 ** i for i in range(13)] + [1172], id="rademacher-k7"),
-        pytest.param(1, 70000, [2 ** i for i in range(16)] + [4465], id="rademacher-k1"),
+        pytest.param(RademacherProblem, 7, 9363, [2 ** i for i in range(13)] + [1172], 2,
+                     id="rademacher-k7"),
+        pytest.param(RademacherProblem, 1, 70000, [2 ** i for i in range(16)] + [4465], 2,
+                     id="rademacher-k1"),
         # 2^16 // 7000: the cap is 9 batches, then a short last block
-        pytest.param(7000, 40, [1, 2, 4, 8, 9, 9, 7], id="rademacher-k7000"),
+        pytest.param(RademacherProblem, 7000, 40, [1, 2, 4, 8, 9, 9, 7], 2,
+                     id="rademacher-k7000"),
         # 2^16 // 40000: the cap is 1, so one batch per draw
-        pytest.param(40000, 3, [1, 1, 1], id="rademacher-k40000"),
-    ])
-    def test_blocks_match_per_call_draws(self, k, n_batches, blocks):
-        problem = RademacherProblem()
+        pytest.param(RademacherProblem, 40000, 3, [1, 1, 1], 2, id="rademacher-k40000"),
+    ] + [pytest.param(partial(LeastSquaresProblem, dim, 1000.0, 0.0, seed=3), k, n_batches,
+                      blocks, cpus, id=f"least_squares-{name}-{path}")
+         for dim, k, n_batches, blocks, name in (
+             # 2^16 // 2000: the cap is 32 batches, then a short last block
+             (10, 200, 100, [1, 2, 4, 8, 16, 32, 32, 5], "k200"),
+             # 2^16 // 70 = 936: the cap is not a multiple of 2 ** i
+             (10, 7, 2000, [2 ** i for i in range(10)] + [936, 41], "k7"),
+             # k * dim = 40000 is over 2^15: the cap is 1, so one batch per draw
+             (1000, 40, 3, [1, 1, 1], "k40-dim1000"))
+         for path, cpus in (("threaded", 2), ("inline", 1))])
+    def test_blocks_match_per_call_draws(self, make, k, n_batches, blocks, cpus, monkeypatch):
+        monkeypatch.setattr(problems, "usable_cpus", lambda: cpus)
+        problem, threads = make(), threading.enumerate()
         assert problem.block_draws and sum(blocks) == n_batches
-        sample_calls = []
-        draw = problem.sample
-        problem.sample = lambda rng, n: sample_calls.append(n) or draw(rng, n)
-        rng_block, rng_call = np.random.default_rng(5), np.random.default_rng(5)
+        rng_block, rng_call = self.Recorder(np.random.default_rng(5)), np.random.default_rng(5)
         stream = minibatches(problem, rng_block, k, n_batches)
-        for _ in range(n_batches):
-            got, want = next(stream), draw(rng_call, k)
+        for i in range(n_batches):
+            got, want = next(stream), problem.sample(rng_call, k)
+            if i == 0:  # a worker fills noiseless least squares' blocks of 2 or more
+                workers = problem.finish is not None and cpus > 1 and max(blocks) > 1
+                assert len(threading.enumerate()) == len(threads) + workers
             if k == 1:
                 # a float-iterate problem's one-sample minibatch is the float
                 assert type(got) is float and [got] == want.tolist()
             else:
-                assert np.array_equal(got, want)
-        assert all(n <= max(BLOCK_COORDINATES, k) for n in sample_calls)  # dim is 1
-        assert sample_calls == [n * k for n in blocks]
-        # no sample drawn beyond the last batch
-        assert rng_block.bit_generator.state == rng_call.bit_generator.state
+                assert ([g.tobytes() for g in batch_parts(got)]
+                        == [w.tobytes() for w in batch_parts(want)])
+        assert all(n * problem.dim <= max(BLOCK_COORDINATES, k * problem.dim)
+                   for n in rng_block.rows)
+        assert rng_block.rows == [n * k for n in blocks]
+        # no sample drawn beyond the last batch, and no thread left running
+        assert rng_block.rng.bit_generator.state == rng_call.bit_generator.state
+        stream.close()
+        assert threading.enumerate() == threads
 
-    @pytest.mark.parametrize("raw,diverges", [
+    @pytest.mark.parametrize("raw,diverges,cpus", [
         pytest.param(dict(problem="rademacher", theta0=3.0, optimizer="sgd", k=7,
                           alpha=0.1, epochs=3, epoch_size=100, eval_every=2, seed=1),
-                     False, id="rademacher-k7"),
+                     False, 2, id="rademacher-k7"),
         pytest.param(dict(problem="rademacher", theta0=3.0, optimizer="sgd", k=2,
                           alpha=5.0, epochs=1, epoch_size=300, eval_every=1, seed=2),
-                     True, id="rademacher-ends-mid-block"),
+                     True, 2, id="rademacher-ends-mid-block"),
         pytest.param(dict(problem="rademacher", theta0=1e4, optimizer="hybrid", k=1,
                           alpha=0.5, alpha_schedule="inverse_t", epochs=1,
                           epoch_size=200, eval_every=1, seed=3),
-                     False, id="rademacher-hybrid"),
+                     False, 2, id="rademacher-hybrid"),
         # 40 batches of 7000 draw in blocks of [1, 2, 4, 8, 9, 9, 7]: 9 is the cap
         pytest.param(dict(problem="rademacher", theta0=3.0, optimizer="momentum", beta=0.5,
                           k=7000, alpha=0.1, epochs=1, epoch_size=280000, eval_every=3,
                           seed=4),
-                     False, id="rademacher-k7000"),
-    ])
-    def test_run_identical_with_block_draws_off(self, raw, diverges, monkeypatch):
-        config = ExperimentConfig.from_dict(raw)
+                     False, 2, id="rademacher-k7000"),
+    ] + [pytest.param(dict(problem="least_squares", dim=10, condition_number=1000.0,
+                           noise_std=0.0, theta0_scale=3.0, epochs=1, epoch_size=20000,
+                           eval_every=7, **run), diverges, cpus, id=f"least_squares-{name}-{path}")
+         for run, diverges, name in (
+             # 100 batches of 200 in blocks of [1, 2, 4, 8, 16, 32, 32, 5]
+             (dict(optimizer="momentum", beta=0.5, k=200, alpha=2e-4, seed=5), False, "k200"),
+             # above the 1e-3 stability limit: diverges at iteration 19, in the
+             # block of batches 16-31, while the next block fills
+             (dict(optimizer="sgd", k=20, alpha=3e-3, seed=6), True, "ends-mid-block"))
+         for path, cpus in (("threaded", 2), ("inline", 1))])
+    def test_run_identical_with_block_draws_off(self, raw, diverges, cpus, monkeypatch):
+        monkeypatch.setattr(problems, "usable_cpus", lambda: cpus)
+        config, threads = ExperimentConfig.from_dict(raw), threading.enumerate()
         records, summary = run_experiment(config)
         assert summary.diverged == diverges
+        assert threading.enumerate() == threads
         monkeypatch.setattr(type(build_problem(config)), "block_draws", False)
         records_off, summary_off = run_experiment(config)
         assert records == records_off
         assert np.array_equal(summary.final_theta, summary_off.final_theta)
         assert (summary.samples, summary.iterations, summary.diverged) == (
             summary_off.samples, summary_off.iterations, summary_off.diverged)
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["threaded", "inline"])
+    def test_stream_leaves_no_thread(self, cpus, monkeypatch):
+        # k * dim = 200: blocks of 1, 2, 4, ... batches, up to 327
+        monkeypatch.setattr(problems, "usable_cpus", lambda: cpus)
+        problem, threads = LeastSquaresProblem(10, 1000.0, 0.0, seed=3), threading.enumerate()
+        for stop in ("close", "drop"):
+            stream = minibatches(problem, np.random.default_rng(5), 20, 1000)
+            for _ in range(5):  # mid-block: batches 3-6 are the third block
+                next(stream)
+            assert len(threading.enumerate()) == len(threads) + (cpus > 1)
+            if stop == "close":
+                stream.close()
+            else:
+                del stream
+            assert threading.enumerate() == threads
+
+    def test_streams_side_by_side_under_preemption(self, monkeypatch):
+        # four workers on at most two CPUs, the GIL switching every 10 us:
+        # k * dim = 10000, so each stream hands its worker 52 blocks of up to 6
+        monkeypatch.setattr(problems, "usable_cpus", lambda: 2)
+        problem, threads = LeastSquaresProblem(20, 1000.0, 0.0, seed=3), threading.enumerate()
+        rngs = [np.random.default_rng(seed) for seed in range(4)]
+        refs = [np.random.default_rng(seed) for seed in range(4)]
+        streams = [minibatches(problem, rng, 500, 300) for rng in rngs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(300):
+                for stream, ref in zip(streams, refs):
+                    got, want = next(stream), problem.sample(ref, 500)
+                    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        finally:
+            sys.setswitchinterval(interval)
+            for stream in streams:
+                stream.close()
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in refs]
+        assert threading.enumerate() == threads
+
+    def test_open_stream_does_not_hold_up_exit(self):
+        # a stream left open, say by a traceback that keeps its frame, still
+        # has its worker waiting for the next block when the interpreter exits
+        code = ("import numpy as np\nfrom sgdlab import problems\n"
+                "problems.usable_cpus = lambda: 2\n"
+                "problem = problems.LeastSquaresProblem(10, 1000.0, 0.0, seed=3)\n"
+                "stream = problems.minibatches(problem, np.random.default_rng(5), 20, 1000)\n"
+                "next(stream)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(problems.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+        assert done.returncode == 0
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["threaded", "inline"])
+    @pytest.mark.parametrize("fail_at,read", [(1, 0), (3, 3)], ids=["first-block", "third-block"])
+    def test_fill_error_is_a_config_error(self, cpus, fail_at, read, monkeypatch):
+        # the third fill is the block of batches 3-6; it starts as batch 1 is
+        # read and fails where the reader reaches it
+        monkeypatch.setattr(problems, "usable_cpus", lambda: cpus)
+        problem, threads = LeastSquaresProblem(10, 1000.0, 0.0, seed=3), threading.enumerate()
+        rng = self.Recorder(np.random.default_rng(5), fail_at=fail_at)
+        stream = minibatches(problem, rng, 20, 1000)
+        for _ in range(read):
+            next(stream)
+        with pytest.raises(ConfigurationError,
+                           match="k = 20 is too large to draw a minibatch: no room for the block"):
+            next(stream)
+        assert threading.enumerate() == threads
 
     @pytest.mark.parametrize("k,epoch_sizes", [(5, [5, 5]), (3, [3, 3, 3, 1])],
                              ids=["k-divides", "short-last-minibatch"])
@@ -695,32 +812,17 @@ class TestSampleStream:
                 for start in range(0, train_size, k):
                     yield problem.subset(train, perm[start:start + k])
 
-        def parts(batch):  # rademacher's array, or least squares' (features, targets)
-            return (batch,) if isinstance(batch, np.ndarray) else batch
-
         n_batches = 3 * len(epoch_sizes)
         rng, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
         stream = minibatches(problem, rng, k, n_batches, train_size=10)
         got = [next(stream) for _ in range(n_batches)]
         want = list(epoch_batches(rng_ref, 10, 3))
-        assert [len(parts(batch)[-1]) for batch in got] == epoch_sizes * 3
+        assert [len(batch_parts(batch)[-1]) for batch in got] == epoch_sizes * 3
         assert len(want) == n_batches
         for batch, ref in zip(got, want):
-            assert [p.tobytes() for p in parts(batch)] == [p.tobytes() for p in parts(ref)]
+            assert ([p.tobytes() for p in batch_parts(batch)]
+                    == [p.tobytes() for p in batch_parts(ref)])
         assert rng.bit_generator.state == rng_ref.bit_generator.state
-
-    def test_noiseless_least_squares_draws_once_per_minibatch(self, monkeypatch):
-        # k * dim = 7000: blocks of up to 9 minibatches would fit under the cap
-        config = ExperimentConfig.from_dict(dict(
-            problem="least_squares", dim=1000, condition_number=10.0, noise_std=0.0,
-            theta0_scale=3.0, optimizer="momentum", beta=0.5, k=7, alpha=1e-4,
-            epochs=1, epoch_size=300, eval_every=4, seed=4))
-        sample_calls = []
-        draw = LeastSquaresProblem.sample
-        monkeypatch.setattr(LeastSquaresProblem, "sample",
-                            lambda self, rng, n: sample_calls.append(n) or draw(self, rng, n))
-        _, summary = run_experiment(config)
-        assert summary.iterations == 43 and sample_calls == [7] * 43
 
 
 class TestHybridRun:

@@ -340,9 +340,9 @@ class TestMinibatch:
         assert np.array_equal(batch.mean_gradient, grad)
 
     def test_block_draws_only_where_draws_do_not_interleave(self):
-        # of the problems whose draws do not interleave, only rademacher's
-        # scalar draws gain from blocks; noiseless least squares draws per call
+        # noisy least squares draws noise after each call's features, and
+        # logistic draws labels before them
         assert RademacherProblem().block_draws
-        assert not LeastSquaresProblem(3, 10.0, 0.0, seed=0).block_draws
+        assert LeastSquaresProblem(3, 10.0, 0.0, seed=0).block_draws
         assert not LeastSquaresProblem(3, 10.0, 0.1, seed=0).block_draws
         assert not LogisticBlobsProblem(3, 2, 1.0, seed=0).block_draws
