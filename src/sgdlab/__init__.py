@@ -9,6 +9,6 @@ from .optimizers import AlphaSchedule, SwitchPolicy, step_momentum, step_secant,
 from .plots import emit_plots
 from .problems import (LeastSquaresProblem, LogisticBlobsProblem, Problem,
                        RademacherProblem)
-from .verification import OracleReport, run_all as run_verification
+from .verification import OracleReport
 
 __version__ = "0.1.0"

@@ -8,7 +8,6 @@ so runs are reproducible from a 64-bit seed.
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -133,12 +132,6 @@ def check_bounds(**values) -> None:
 BLOCK_COORDINATES = 2 ** 16
 
 
-def usable_cpus() -> int:
-    """How many CPUs this process may run on (all of them where the OS cannot say)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def _block_sizes(cap: int, n_batches: int):
     """Minibatches per block: 1, 2, 4, ... up to `cap`, n_batches in all."""
     drawn = 0
@@ -164,8 +157,8 @@ def minibatches(problem: Problem, rng: np.random.Generator, k: int, n_batches: i
       (floats, one `tolist()` per block, for one-sample minibatches); a run
       that stops early has drawn under twice the samples it spent plus one;
     - noiseless least squares fills a block with one standard_normal call, a
-      worker thread the next one while this one is read (the reading thread,
-      first, with one usable CPU), and `problem.finish` makes each k rows a
+      worker thread the next one while this one is read (1.5% slower on one
+      CPU than filling it here), and `problem.finish` makes each k rows a
       minibatch; a run that stops early has drawn what it spent plus at most
       two blocks. The worker ends with the generator, and a fill's error is
       raised here.
@@ -202,7 +195,7 @@ def _filled_ahead(problem: Problem, rng: np.random.Generator, k: int, cap: int, 
     """`minibatches` of noiseless least squares: blocks of `sizes` minibatches,
     each one standard_normal fill, the next by a worker while one is read."""
     buffers = np.empty((2, cap * k, problem.dim))
-    errors, todo, worker = [], [], None
+    errors, todo = [], []
     handed, taken, filled = threading.Lock(), threading.Lock(), threading.Lock()
     for lock in (handed, taken, filled):
         lock.acquire()
@@ -219,9 +212,9 @@ def _filled_ahead(problem: Problem, rng: np.random.Generator, k: int, cap: int, 
             taken.release()  # the reader blocks on this, so the worker had the GIL at once
             fill(out)
 
-    if usable_cpus() > 1:  # a daemon: a stream still open does not hold up exit
-        worker = threading.Thread(target=work, daemon=True)
-        worker.start()
+    # a daemon: a stream still open does not hold up exit
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
     try:
         n, which = next(sizes, 0), 0
         fill(buffers[0, :n * k])  # nothing to overlap the first block with
@@ -230,19 +223,16 @@ def _filled_ahead(problem: Problem, rng: np.random.Generator, k: int, cap: int, 
             if errors:
                 raise errors[0]
             block, n, which = buffers[which, :n * k], next(sizes, 0), 1 - which
-            if n and worker is None:
-                fill(buffers[which, :n * k])
-            elif n:  # the next block fills while this one is read
+            if n:  # the next block fills while this one is read
                 todo.append(buffers[which, :n * k])
                 handed.release()
                 taken.acquire()
             for start in range(0, block.shape[0], k):
                 yield problem.finish(block[start:start + k])
     finally:
-        if worker is not None:
-            todo.append(None)
-            handed.release()
-            worker.join()
+        todo.append(None)
+        handed.release()
+        worker.join()
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,8 @@ DEFECTS = (
     ("src/sgdlab/problems.py", "buffers[which, :n * k], next(sizes, 0), 1 - which",
      "buffers[which, :n * k], next(sizes, 1), 1 - which",
      "least-squares draw-ahead fills a block past n_batches"),
+    ("src/sgdlab/harness.py", "    v = 0.0  # beta * 0.0 + g", "    v = 1.0  # beta * 0.0 + g",
+     "momentum starts with a nonzero velocity"),
 )
 
 # tier-1 without the golden hashes, stopping at the first failure; the

@@ -130,6 +130,8 @@ class TestRolloffPolicy:
             RolloffPolicy(beta_max=1.0)
         with pytest.raises(ConfigurationError):
             RolloffPolicy(cv_low=2.0, cv_high=1.0)
+        with pytest.raises(ConfigurationError):  # an empty ramp
+            RolloffPolicy(cv_low=1.0, cv_high=1.0)
 
     def test_linear_boundaries_and_midpoint(self):
         policy = RolloffPolicy(kind="cv_linear", beta_max=0.9, cv_low=0.1, cv_high=1.0)

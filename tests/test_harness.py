@@ -154,6 +154,7 @@ class TestConfigValidation:
                  "unknown learning-rate schedule 'bogus'"),
         case(47, dict(beta_max=5.0), r"beta_max must be in \[0, 1\), got 5.0"),
         case(48, dict(cv_low=3.0, cv_high=1.0), "need 0 <= cv_low < cv_high"),
+        case(67, dict(cv_low=1.0, cv_high=1.0), "need 0 <= cv_low < cv_high"),
         # every problem key is checked, whatever the problem
         case(49, dict(dim=0), "^dim must be >= 1, got 0$"),
         case(50, dict(condition_number=-5), r"^condition_number must be >= 1, got -5\.0$"),
@@ -646,30 +647,28 @@ class TestSampleStream:
                 raise MemoryError("no room for the block")
             return self.rng.standard_normal(size, out=out)
 
-    @pytest.mark.parametrize("make,k,n_batches,blocks,cpus", [
+    @pytest.mark.parametrize("make,k,n_batches,blocks", [
         # blocks of 1, 2, 4, ... batches: 13 blocks hold 8191 batches, the
         # last 1172 stay under the cap (k = 7 does not divide 2^16: 9362)
-        pytest.param(RademacherProblem, 7, 9363, [2 ** i for i in range(13)] + [1172], 2,
+        pytest.param(RademacherProblem, 7, 9363, [2 ** i for i in range(13)] + [1172],
                      id="rademacher-k7"),
-        pytest.param(RademacherProblem, 1, 70000, [2 ** i for i in range(16)] + [4465], 2,
+        pytest.param(RademacherProblem, 1, 70000, [2 ** i for i in range(16)] + [4465],
                      id="rademacher-k1"),
         # 2^16 // 7000: the cap is 9 batches, then a short last block
-        pytest.param(RademacherProblem, 7000, 40, [1, 2, 4, 8, 9, 9, 7], 2,
+        pytest.param(RademacherProblem, 7000, 40, [1, 2, 4, 8, 9, 9, 7],
                      id="rademacher-k7000"),
         # 2^16 // 40000: the cap is 1, so one batch per draw
-        pytest.param(RademacherProblem, 40000, 3, [1, 1, 1], 2, id="rademacher-k40000"),
+        pytest.param(RademacherProblem, 40000, 3, [1, 1, 1], id="rademacher-k40000"),
     ] + [pytest.param(partial(LeastSquaresProblem, dim, 1000.0, 0.0, seed=3), k, n_batches,
-                      blocks, cpus, id=f"least_squares-{name}-{path}")
+                      blocks, id=f"least_squares-{name}-threaded")
          for dim, k, n_batches, blocks, name in (
              # 2^16 // 2000: the cap is 32 batches, then a short last block
              (10, 200, 100, [1, 2, 4, 8, 16, 32, 32, 5], "k200"),
              # 2^16 // 70 = 936: the cap is not a multiple of 2 ** i
              (10, 7, 2000, [2 ** i for i in range(10)] + [936, 41], "k7"),
              # k * dim = 40000 is over 2^15: the cap is 1, so one batch per draw
-             (1000, 40, 3, [1, 1, 1], "k40-dim1000"))
-         for path, cpus in (("threaded", 2), ("inline", 1))])
-    def test_blocks_match_per_call_draws(self, make, k, n_batches, blocks, cpus, monkeypatch):
-        monkeypatch.setattr(problems, "usable_cpus", lambda: cpus)
+             (1000, 40, 3, [1, 1, 1], "k40-dim1000"))])
+    def test_blocks_match_per_call_draws(self, make, k, n_batches, blocks):
         problem, threads = make(), threading.enumerate()
         assert problem.block_draws and sum(blocks) == n_batches
         rng_block, rng_call = self.Recorder(np.random.default_rng(5)), np.random.default_rng(5)
@@ -677,7 +676,7 @@ class TestSampleStream:
         for i in range(n_batches):
             got, want = next(stream), problem.sample(rng_call, k)
             if i == 0:  # a worker fills noiseless least squares' blocks of 2 or more
-                workers = problem.finish is not None and cpus > 1 and max(blocks) > 1
+                workers = problem.finish is not None and max(blocks) > 1
                 assert len(threading.enumerate()) == len(threads) + workers
             if k == 1:
                 # a float-iterate problem's one-sample minibatch is the float
@@ -693,34 +692,32 @@ class TestSampleStream:
         stream.close()
         assert threading.enumerate() == threads
 
-    @pytest.mark.parametrize("raw,diverges,cpus", [
+    @pytest.mark.parametrize("raw,diverges", [
         pytest.param(dict(problem="rademacher", theta0=3.0, optimizer="sgd", k=7,
                           alpha=0.1, epochs=3, epoch_size=100, eval_every=2, seed=1),
-                     False, 2, id="rademacher-k7"),
+                     False, id="rademacher-k7"),
         pytest.param(dict(problem="rademacher", theta0=3.0, optimizer="sgd", k=2,
                           alpha=5.0, epochs=1, epoch_size=300, eval_every=1, seed=2),
-                     True, 2, id="rademacher-ends-mid-block"),
+                     True, id="rademacher-ends-mid-block"),
         pytest.param(dict(problem="rademacher", theta0=1e4, optimizer="hybrid", k=1,
                           alpha=0.5, alpha_schedule="inverse_t", epochs=1,
                           epoch_size=200, eval_every=1, seed=3),
-                     False, 2, id="rademacher-hybrid"),
+                     False, id="rademacher-hybrid"),
         # 40 batches of 7000 draw in blocks of [1, 2, 4, 8, 9, 9, 7]: 9 is the cap
         pytest.param(dict(problem="rademacher", theta0=3.0, optimizer="momentum", beta=0.5,
                           k=7000, alpha=0.1, epochs=1, epoch_size=280000, eval_every=3,
                           seed=4),
-                     False, 2, id="rademacher-k7000"),
+                     False, id="rademacher-k7000"),
     ] + [pytest.param(dict(problem="least_squares", dim=10, condition_number=1000.0,
                            noise_std=0.0, theta0_scale=3.0, epochs=1, epoch_size=20000,
-                           eval_every=7, **run), diverges, cpus, id=f"least_squares-{name}-{path}")
+                           eval_every=7, **run), diverges, id=f"least_squares-{name}-threaded")
          for run, diverges, name in (
              # 100 batches of 200 in blocks of [1, 2, 4, 8, 16, 32, 32, 5]
              (dict(optimizer="momentum", beta=0.5, k=200, alpha=2e-4, seed=5), False, "k200"),
              # above the 1e-3 stability limit: diverges at iteration 19, in the
              # block of batches 16-31, while the next block fills
-             (dict(optimizer="sgd", k=20, alpha=3e-3, seed=6), True, "ends-mid-block"))
-         for path, cpus in (("threaded", 2), ("inline", 1))])
-    def test_run_identical_with_block_draws_off(self, raw, diverges, cpus, monkeypatch):
-        monkeypatch.setattr(problems, "usable_cpus", lambda: cpus)
+             (dict(optimizer="sgd", k=20, alpha=3e-3, seed=6), True, "ends-mid-block"))])
+    def test_run_identical_with_block_draws_off(self, raw, diverges, monkeypatch):
         config, threads = ExperimentConfig.from_dict(raw), threading.enumerate()
         records, summary = run_experiment(config)
         assert summary.diverged == diverges
@@ -732,26 +729,23 @@ class TestSampleStream:
         assert (summary.samples, summary.iterations, summary.diverged) == (
             summary_off.samples, summary_off.iterations, summary_off.diverged)
 
-    @pytest.mark.parametrize("cpus", [2, 1], ids=["threaded", "inline"])
-    def test_stream_leaves_no_thread(self, cpus, monkeypatch):
+    def test_stream_leaves_no_thread(self):
         # k * dim = 200: blocks of 1, 2, 4, ... batches, up to 327
-        monkeypatch.setattr(problems, "usable_cpus", lambda: cpus)
         problem, threads = LeastSquaresProblem(10, 1000.0, 0.0, seed=3), threading.enumerate()
         for stop in ("close", "drop"):
             stream = minibatches(problem, np.random.default_rng(5), 20, 1000)
             for _ in range(5):  # mid-block: batches 3-6 are the third block
                 next(stream)
-            assert len(threading.enumerate()) == len(threads) + (cpus > 1)
+            assert len(threading.enumerate()) == len(threads) + 1
             if stop == "close":
                 stream.close()
             else:
                 del stream
             assert threading.enumerate() == threads
 
-    def test_streams_side_by_side_under_preemption(self, monkeypatch):
+    def test_streams_side_by_side_under_preemption(self):
         # four workers on at most two CPUs, the GIL switching every 10 us:
         # k * dim = 10000, so each stream hands its worker 52 blocks of up to 6
-        monkeypatch.setattr(problems, "usable_cpus", lambda: 2)
         problem, threads = LeastSquaresProblem(20, 1000.0, 0.0, seed=3), threading.enumerate()
         rngs = [np.random.default_rng(seed) for seed in range(4)]
         refs = [np.random.default_rng(seed) for seed in range(4)]
@@ -774,7 +768,6 @@ class TestSampleStream:
         # a stream left open, say by a traceback that keeps its frame, still
         # has its worker waiting for the next block when the interpreter exits
         code = ("import numpy as np\nfrom sgdlab import problems\n"
-                "problems.usable_cpus = lambda: 2\n"
                 "problem = problems.LeastSquaresProblem(10, 1000.0, 0.0, seed=3)\n"
                 "stream = problems.minibatches(problem, np.random.default_rng(5), 20, 1000)\n"
                 "next(stream)\n")
@@ -782,12 +775,12 @@ class TestSampleStream:
         done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
         assert done.returncode == 0
 
-    @pytest.mark.parametrize("cpus", [2, 1], ids=["threaded", "inline"])
-    @pytest.mark.parametrize("fail_at,read", [(1, 0), (3, 3)], ids=["first-block", "third-block"])
-    def test_fill_error_is_a_config_error(self, cpus, fail_at, read, monkeypatch):
-        # the third fill is the block of batches 3-6; it starts as batch 1 is
-        # read and fails where the reader reaches it
-        monkeypatch.setattr(problems, "usable_cpus", lambda: cpus)
+    @pytest.mark.parametrize("fail_at,read", [(1, 0), (3, 3)],
+                             ids=["first-block-threaded", "third-block-threaded"])
+    def test_fill_error_is_a_config_error(self, fail_at, read):
+        # the first fill is the reader's own; the third is the worker's block
+        # of batches 3-6, which starts as batch 1 is read and fails where the
+        # reader reaches it
         problem, threads = LeastSquaresProblem(10, 1000.0, 0.0, seed=3), threading.enumerate()
         rng = self.Recorder(np.random.default_rng(5), fail_at=fail_at)
         stream = minibatches(problem, rng, 20, 1000)
@@ -823,6 +816,45 @@ class TestSampleStream:
             assert ([p.tobytes() for p in batch_parts(batch)]
                     == [p.tobytes() for p in batch_parts(ref)])
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+class TestRunStart:
+    """What a run does before its first sample moves it: the secant phase's
+    free second point, and momentum's velocity, which starts at zero."""
+
+    @pytest.mark.parametrize("problem,theta0,second", [
+        ("rademacher", 0.0, 1.0), ("rademacher", 3.0, 1.5),
+        ("least_squares", 0.0, [1.0]), ("least_squares", 3.0, [1.5])],
+        ids=["rademacher-from-0", "rademacher-from-3", "least_squares-from-0",
+             "least_squares-from-3"])
+    def test_secant_free_second_point(self, problem, theta0, second):
+        # theta0 / 2, or 1 from theta0 = 0: a float on rademacher's float
+        # route, a (1,) array on the array route, both before any sample
+        config = make_config(problem=problem, dim=1, theta0=theta0, optimizer="secant",
+                             alpha=None, epoch_size=3)
+        steps = _run_loop(config, build_problem(config), np.random.default_rng(0),
+                          every_iterate=True)
+        (_, start, *_), (iteration, point, samples, *_) = next(steps), next(steps)
+        steps.close()
+        assert np.asarray(start).tolist() == (theta0 if problem == "rademacher" else [theta0])
+        assert type(point) is (float if problem == "rademacher" else np.ndarray)
+        assert np.asarray(point).tolist() == second and iteration == samples == 0
+
+    @pytest.mark.parametrize("overrides", [
+        dict(problem="rademacher"),
+        dict(problem="least_squares", dim=3, theta0=[2.0, -1.0, 0.5], k=4)],
+        ids=["rademacher", "least_squares"])
+    def test_momentum_first_iterate_is_sgds(self, overrides):
+        # v starts at zero, so beta * v adds nothing to the first step
+        iterates = []
+        for optimizer in (dict(optimizer="sgd"), dict(optimizer="momentum", beta=0.5)):
+            config = make_config(**overrides, **optimizer, epoch_size=40)
+            steps = _run_loop(config, build_problem(config), np.random.default_rng(7),
+                              every_iterate=True)
+            next(steps)  # theta0
+            iterates.append(np.asarray(next(steps)[1]).tobytes())
+            steps.close()
+        assert iterates[0] == iterates[1]
 
 
 class TestHybridRun:
