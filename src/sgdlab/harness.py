@@ -486,6 +486,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TraceRecord], RunSumm
         accuracy = None
         if test_metrics is not None and epoch > last_record_epoch:
             est_risk, accuracy = test_metrics(theta)
+        if diverged := not math.isfinite(est_risk):  # its costs overflowed: no record
+            break
         records.append(TraceRecord(  # positional: keywords cost twice as much
             int(epoch), iteration, risk, est_risk, cv_raw, cv_smoothed,
             float(alpha_i), float(beta_i), accuracy,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from queue import SimpleQueue
 from typing import Any, Optional
 
 import numpy as np
@@ -156,12 +157,11 @@ def minibatches(problem: Problem, rng: np.random.Generator, k: int, n_batches: i
     - rademacher slices one `sample` call per block with `problem.subset`
       (floats, one `tolist()` per block, for one-sample minibatches); a run
       that stops early has drawn under twice the samples it spent plus one;
-    - noiseless least squares fills a block with one standard_normal call, a
-      worker thread the next one while this one is read (1.5% slower on one
-      CPU than filling it here), and `problem.finish` makes each k rows a
-      minibatch; a run that stops early has drawn what it spent plus at most
-      two blocks. The worker ends with the generator, and a fill's error is
-      raised here.
+    - noiseless least squares: a worker thread fills each block with one
+      standard_normal call, the next one while this one is read, and
+      `problem.finish` makes each k rows a minibatch; a run that stops early
+      has drawn what it spent plus at most two blocks. The worker ends with
+      the generator, and a fill's error is raised here.
     Other problems draw once per minibatch. All give the same samples, and a
     run that takes all `n_batches` leaves the generator where per-call draws
     do. A draw too large for numpy is a config error on train_size or k.
@@ -193,45 +193,37 @@ def minibatches(problem: Problem, rng: np.random.Generator, k: int, n_batches: i
 
 def _filled_ahead(problem: Problem, rng: np.random.Generator, k: int, cap: int, sizes):
     """`minibatches` of noiseless least squares: blocks of `sizes` minibatches,
-    each one standard_normal fill, the next by a worker while one is read."""
+    each one standard_normal fill by a worker, the next while one is read."""
     buffers = np.empty((2, cap * k, problem.dim))
-    errors, todo = [], []
-    handed, taken, filled = threading.Lock(), threading.Lock(), threading.Lock()
-    for lock in (handed, taken, filled):
-        lock.acquire()
+    todo, taken, filled = SimpleQueue(), SimpleQueue(), SimpleQueue()
 
-    def fill(out):  # the one call a block costs; numpy releases the GIL in it
-        try:
-            rng.standard_normal(out=out)
-        except BaseException as exc:  # raised again by the reading thread
-            errors.append(exc)
-        filled.release()
-
-    def work():  # fills the blocks it is handed, in turn, until it is handed None
-        while handed.acquire() and (out := todo.pop()) is not None:
-            taken.release()  # the reader blocks on this, so the worker had the GIL at once
-            fill(out)
+    def work():  # fills the buffers it is handed, in turn, until it is handed None
+        while (out := todo.get()) is not None:
+            taken.put(None)  # the reader waits for this, so the worker had the GIL at once
+            try:  # the one call a block costs; numpy releases the GIL in it
+                filled.put(rng.standard_normal(out=out))
+            except BaseException as exc:  # raised again by the reading thread
+                filled.put(exc)
 
     # a daemon: a stream still open does not hold up exit
     worker = threading.Thread(target=work, daemon=True)
     worker.start()
     try:
         n, which = next(sizes, 0), 0
-        fill(buffers[0, :n * k])  # nothing to overlap the first block with
+        todo.put(buffers[0, :n * k])  # nothing to overlap the first block with
+        taken.get()
         while n:
-            filled.acquire()
-            if errors:
-                raise errors[0]
-            block, n, which = buffers[which, :n * k], next(sizes, 0), 1 - which
+            block = filled.get()
+            if isinstance(block, BaseException):
+                raise block
+            n, which = next(sizes, 0), 1 - which
             if n:  # the next block fills while this one is read
-                todo.append(buffers[which, :n * k])
-                handed.release()
-                taken.acquire()
+                todo.put(buffers[which, :n * k])
+                taken.get()
             for start in range(0, block.shape[0], k):
                 yield problem.finish(block[start:start + k])
     finally:
-        todo.append(None)
-        handed.release()
+        todo.put(None)
         worker.join()
 
 

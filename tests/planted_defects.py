@@ -60,11 +60,13 @@ DEFECTS = (
      "unit-ball stop skips the zero-sample iterates"),
     ("src/sgdlab/verification.py", '(("hybrid", SECANT_CAP), ("sgd", UNIT_BALL_CAP))',
      '(("hybrid", UNIT_BALL_CAP), ("sgd", SECANT_CAP))', "unit-ball caps swapped"),
-    ("src/sgdlab/problems.py", "buffers[which, :n * k], next(sizes, 0), 1 - which",
-     "buffers[which, :n * k], next(sizes, 1), 1 - which",
+    ("src/sgdlab/problems.py", "n, which = next(sizes, 0), 1 - which",
+     "n, which = next(sizes, 1), 1 - which",
      "least-squares draw-ahead fills a block past n_batches"),
     ("src/sgdlab/harness.py", "    v = 0.0  # beta * 0.0 + g", "    v = 1.0  # beta * 0.0 + g",
      "momentum starts with a nonzero velocity"),
+    ("src/sgdlab/harness.py", "and risk - min_risk <= risk_threshold):",
+     "and risk - min_risk < risk_threshold):", "threshold gap open at the threshold"),
 )
 
 # tier-1 without the golden hashes, stopping at the first failure; the

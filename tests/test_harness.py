@@ -9,8 +9,10 @@ import subprocess
 import sys
 import threading
 import warnings
+from bisect import bisect_right
 from collections import deque
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sgdlab.cli import main as cli_main
 from sgdlab.errors import ConfigurationError, TraceFormatError
-from sgdlab.diagnostics import RolloffPolicy, estimate_cv
+from sgdlab.diagnostics import RolloffPolicy, estimate_cv, smooth_cv
 from sgdlab import harness, problems
 from sgdlab.harness import (TRACE_HEADER, ExperimentConfig, TraceRecord, _CvTracker,
                             _run_loop, build_problem, load_config, problem_size, read_trace,
@@ -672,9 +674,12 @@ class TestSampleStream:
         problem, threads = make(), threading.enumerate()
         assert problem.block_draws and sum(blocks) == n_batches
         rng_block, rng_call = self.Recorder(np.random.default_rng(5)), np.random.default_rng(5)
-        stream = minibatches(problem, rng_block, k, n_batches)
+        stream, ends = minibatches(problem, rng_block, k, n_batches), list(accumulate(blocks))
         for i in range(n_batches):
             got, want = next(stream), problem.sample(rng_call, k)
+            # the worker fills at most one block ahead: batch i is in block
+            # bisect_right(ends, i), counted from 0
+            assert len(rng_block.rows) <= bisect_right(ends, i) + 2
             if i == 0:  # a worker fills noiseless least squares' blocks of 2 or more
                 workers = problem.finish is not None and max(blocks) > 1
                 assert len(threading.enumerate()) == len(threads) + workers
@@ -778,9 +783,9 @@ class TestSampleStream:
     @pytest.mark.parametrize("fail_at,read", [(1, 0), (3, 3)],
                              ids=["first-block-threaded", "third-block-threaded"])
     def test_fill_error_is_a_config_error(self, fail_at, read):
-        # the first fill is the reader's own; the third is the worker's block
-        # of batches 3-6, which starts as batch 1 is read and fails where the
-        # reader reaches it
+        # the worker fills every block: the first before batch 0 is read, the
+        # third (batches 3-6) while batch 1 is read; each fill's error is
+        # raised where the reader reaches its block
         problem, threads = LeastSquaresProblem(10, 1000.0, 0.0, seed=3), threading.enumerate()
         rng = self.Recorder(np.random.default_rng(5), fail_at=fail_at)
         stream = minibatches(problem, rng, 20, 1000)
@@ -855,6 +860,71 @@ class TestRunStart:
             iterates.append(np.asarray(next(steps)[1]).tobytes())
             steps.close()
         assert iterates[0] == iterates[1]
+
+
+class TestRunReductions:
+    """What the run loop keeps across iterations (the threshold iteration),
+    when it estimates the CV, and the last iterate it reports."""
+
+    @pytest.mark.parametrize("overrides,first", [
+        # alpha_1 = 0.5 steps theta to the sample, +/-1: a gap of exactly 1.0
+        pytest.param(dict(theta0=5.0, alpha=0.5, alpha_schedule="inverse_t",
+                          risk_threshold=1.0), 1, id="rademacher-exact-hit"),
+        # min_risk 0.0: the risk falls through 1.046 at 6 to 0.183 at 9
+        pytest.param(dict(problem="least_squares", dim=3, condition_number=10.0, k=4,
+                          alpha=0.05, epoch_size=400, risk_threshold=0.2), 9,
+                     id="least_squares-noiseless")])
+    def test_threshold_iteration_is_the_first_within_the_gap(self, overrides, first):
+        # the first iteration within the threshold, so this kills:
+        # - `min_risk or 0.0` -> `and 0.0` (rademacher's min_risk is 1.0),
+        #   and -> `or 1.0` (noiseless least squares' is 0.0);
+        # - `reach is None and` -> `or`, which moves it to a later best;
+        # - the gap's `-` -> `+`, and its `<=` -> `<`, which misses the exact hit
+        config = make_config(**overrides)
+        records, summary = run_experiment(config)
+        min_risk = build_problem(config).min_risk or 0.0
+        within = [r.iteration for r in records
+                  if r.true_risk - min_risk <= config.risk_threshold]
+        assert summary.iters_to_threshold == within[0] == first
+
+    @pytest.mark.parametrize("optimizer,calls", [
+        (dict(optimizer="momentum", beta_policy="cv_linear"), 60),
+        (dict(optimizer="momentum", beta=0.5), 20),
+        (dict(optimizer="sgd"), 20)], ids=["cv_linear", "constant-beta", "sgd"])
+    def test_cv_is_estimated_where_the_run_reads_it(self, optimizer, calls, monkeypatch):
+        # 60 iterations of k = 4, 20 of them records: a CV-driven policy
+        # estimates every iteration, other runs only at records; kills
+        # `policy_driven` inverted and `due`'s `and` -> `or`
+        counted = []
+
+        def counting(costs, **keywords):
+            counted.append(costs.shape[0])
+            return estimate_cv(costs, **keywords)
+
+        monkeypatch.setattr(harness, "estimate_cv", counting)
+        run_experiment(make_config(k=4, epoch_size=240, eval_every=3, **optimizer))
+        assert counted == [4] * calls
+
+    def test_smoothed_cv_is_the_median_of_record_estimates(self):
+        # kills `due`'s `and` -> `or`, which smooths over every iteration's estimate
+        records, _ = run_experiment(make_config(k=4, epoch_size=240, eval_every=3,
+                                                cv_window=5))
+        raws = [r.cv_raw for r in records]
+        assert len(records) == 20 and None not in raws
+        for i, record in enumerate(records):
+            assert record.cv_smoothed == smooth_cv(raws[max(0, i - 4):i + 1])
+
+    def test_summary_reports_the_last_iterate_off_the_record_grid(self):
+        # 50 iterations, a record every 7th: the run still yields iteration 50
+        # and its theta; kills `iteration == n_iterations` -> `!=`
+        config = make_config(problem="least_squares", dim=3, condition_number=10.0, k=4,
+                             alpha=0.05, epoch_size=200, eval_every=7)
+        records, summary = run_experiment(config)
+        *_, (iteration, theta, *_) = _run_loop(config, build_problem(config),
+                                               np.random.default_rng(config.seed),
+                                               every_iterate=True)
+        assert records[-1].iteration == 49 and summary.iterations == iteration == 50
+        assert summary.final_theta.tobytes() == theta.tobytes()
 
 
 class TestHybridRun:
@@ -1310,6 +1380,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {bad}:3: non-finite value {value!r}\n"
         assert not (tmp_path / "figs").exists()
+
+    def test_run_overflowing_costs_exits_2_and_its_trace_reads_back(self, tmp_path, capsys):
+        # noise 1e154 squares to about 1e308, so a minibatch's costs sum to
+        # inf while theta and its true risk stay finite: the first record's
+        # est_risk would not be finite, so the run diverges there, unrecorded
+        cfg = tmp_path / "noisy.yaml"
+        cfg.write_text("problem: least_squares\ndim: 2\ncondition_number: 1.0\n"
+                       "noise_std: 1.0e154\ntheta0: 0.0\noptimizer: sgd\nk: 50\n"
+                       "alpha: 1.0e-200\nepoch_size: 500\neval_every: 5\n")
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "iterations=5 samples=250 final_risk=None" in capsys.readouterr().out
+        trace = tmp_path / "noisy.trace.csv"
+        assert read_trace(trace) == []
+        assert cli_main(["plot", str(trace), "--out", str(tmp_path / "figs")]) == 0
 
     def test_run_missing_file_exits_3(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "absent.yaml")]) == 3
